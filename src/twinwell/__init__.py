@@ -5,7 +5,7 @@ engine, feeding shared spin-squeezing / entanglement / EPR-steering
 criteria, with a sweep CLI on top.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .config import (
     InitialState,
@@ -29,9 +29,9 @@ from .criteria import (
 )
 from .errors import ConfigError, DegenerateReferenceError, DivergenceError, TruncationError
 from .kerr import (
-    KerrMomentSource,
     fock_oracle_moment,
     kerr_moment,
+    moment_table,
     single_mode_expectation,
     two_mode_first_moment,
 )

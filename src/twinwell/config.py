@@ -185,6 +185,11 @@ def _num(sec, key, doc, default, errs, kind=float, minimum=None, strict=False):
     except (TypeError, ValueError):
         errs.append(f"{sec}.{key}: expected a number, got {v!r}")
         return default
+    except OverflowError:  # int() of ±Infinity
+        v = math.inf
+    if not math.isfinite(v):
+        errs.append(f"{sec}.{key}: must be finite, got {v!r}")
+        return default
     if minimum is not None and (v < minimum or (strict and v == minimum)):
         op = ">" if strict else ">="
         errs.append(f"{sec}.{key}: must be {op} {minimum}")
@@ -265,6 +270,8 @@ def validate_config(doc: dict | None = None) -> RunConfig:
             taus = ()
         if len(taus) == 0:
             errs.append("sweep.tau_grid: must not be empty")
+        elif not all(math.isfinite(t) for t in taus):
+            errs.append("sweep.tau_grid: must contain finite numbers only")
         elif taus[0] < 0 or any(b <= a for a, b in zip(taus, taus[1:])):
             errs.append("sweep.tau_grid: must be non-negative and strictly increasing")
     else:

@@ -1,17 +1,24 @@
 """Two-site spin correlations: inference variances, entanglement and
 EPR-steering criteria with optimized measurement angle and gains.
 
-Two assembly routes are provided for the beam-splitter pipeline.  The
-default expands J_C ∓ J_D into the sum/difference operators
+A whole sweep is evaluated at once, from a normal-ordered moment table
+of shape (n_tau, n_ens, NBASIS): ensemble row 0 is the merged ensemble,
+the rows after it are trajectory chunks.  The operators are compiled
+once per call, at unit phase factor (see `CompiledPolys`), so every mean
+and covariance is one contraction with the table, and the angle and
+gain optimisations run over all taus together.  The angle and gains are
+chosen on the merged ensemble and frozen for the chunks.
+
+With the beam splitter, J_C ∓ J_D are expanded into the sum/difference
+operators
 
     P^Z = J_A^Z + J_B^Z,                      P^X = J_A^X + J_B^X,
     K^Z = (i/2)(a2†b2 − b2†a2 − a1†b1 + b1†a1),
     K^X = (i/2)[e^{iΔθ}(a2†b1 − b2†a1) + e^{-iΔθ}(a1†b2 − b1†a2)],
 
 so that J_C^θ − g J_D^θ = g₋ P^θ + g₊ K^θ with g± = (1 ± g)/2.  The
-"direct" route builds the post-splitter spin operators from the c/d mode
-transform and expands fourth-order moments without the regrouping; the
-two must agree and are cross-checked in the tests.
+tests check this against the head-on expansion of the post-splitter
+spin operators.
 """
 
 from __future__ import annotations
@@ -22,66 +29,57 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateReferenceError
-from .operators import SITE_A, SITE_B, SITE_C, SITE_D, NormalPoly, raising_bilinear, spin_operators
-from .spins import delta_theta_from, phase_factor_from, scalar_of
+from .operators import (
+    SITE_A,
+    SITE_B,
+    SITE_C,
+    SITE_D,
+    CompiledPolys,
+    NormalPoly,
+    raising_bilinear,
+    spin_operators,
+)
+from .spins import delta_theta_from, phase_factor_from
 
 _TINY = 1e-300
+GOLDEN_TOL = 1e-12
+# taus per block of the angle scan: bounds its (block, n_scan) temporaries
+SCAN_BLOCK = 8
 
 
 @dataclass(frozen=True)
 class GainPair:
-    """Inference gains minimizing var(J_C^θ − g J_D^θ) and var(J_C^θ' + g' J_D^θ')."""
+    """Inference gains minimizing var(J_C^θ − g J_D^θ) and var(J_C^θ' + g' J_D^θ').
 
-    g: float
-    g_prime: float
+    One pair per tau, chosen on the merged ensemble.
+    """
+
+    g: np.ndarray
+    g_prime: np.ndarray
 
 
 @dataclass(frozen=True)
 class JointSpinMoments:
     """Second moments of the site-pair spins at angle θ (and θ + π/2).
 
-    Fields may be scalars or arrays over sub-ensembles (first entry =
-    merged ensemble), mirroring SpinMoments.
+    `theta` and `delta_theta` are (n_tau,); the other fields are
+    (n_tau, n_ens) arrays, ensemble row 0 = merged.
     """
 
-    theta: float
-    delta_theta: float
-    mean_JY_C: float
-    mean_JY_D: float
-    var_minus_theta: float
-    var_plus_theta: float
-    var_minus_perp: float
-    var_plus_perp: float
-    cov_theta: float
-    cov_perp: float
-    var_JC_theta: float
-    var_JC_perp: float
-    var_JD_theta: float
-    var_JD_perp: float
-
-    def merged(self) -> "JointSpinMoments":
-        take = lambda v: float(np.asarray(v).flat[0])
-        return JointSpinMoments(
-            self.theta,
-            self.delta_theta,
-            *[
-                take(getattr(self, f))
-                for f in (
-                    "mean_JY_C",
-                    "mean_JY_D",
-                    "var_minus_theta",
-                    "var_plus_theta",
-                    "var_minus_perp",
-                    "var_plus_perp",
-                    "cov_theta",
-                    "cov_perp",
-                    "var_JC_theta",
-                    "var_JC_perp",
-                    "var_JD_theta",
-                    "var_JD_perp",
-                )
-            ],
-        )
+    theta: np.ndarray
+    delta_theta: np.ndarray
+    mean_JY_C: np.ndarray
+    mean_JY_D: np.ndarray
+    var_minus_theta: np.ndarray
+    var_plus_theta: np.ndarray
+    var_minus_perp: np.ndarray
+    var_plus_perp: np.ndarray
+    cov_theta: np.ndarray
+    cov_perp: np.ndarray
+    var_JC_theta: np.ndarray
+    var_JC_perp: np.ndarray
+    var_JD_theta: np.ndarray
+    var_JD_perp: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,18 +88,18 @@ class CriteriaResult:
 
     E_product < 1 signals entanglement (< 0.5, EPR); E_EPR_product < 1
     signals steering; duan_sum < 0 is the sum-criterion violation.
+    Per-tau fields are (n_tau,); the criteria are (n_tau, n_ens).
     """
 
-    tau: float
-    theta_opt: float
-    delta_theta: float
-    S_minus: float
-    S_plus: float
-    E_product: float
-    E_EPR_product: float
-    g: float
-    g_prime: float
-    duan_sum: float
+    theta_opt: np.ndarray
+    delta_theta: np.ndarray
+    S_minus: np.ndarray
+    S_plus: np.ndarray
+    E_product: np.ndarray
+    E_EPR_product: np.ndarray
+    g: np.ndarray
+    g_prime: np.ndarray
+    duan_sum: np.ndarray
     joint: JointSpinMoments
 
 
@@ -117,9 +115,9 @@ def _kz_poly() -> NormalPoly:
     )
 
 
-def _kx_poly(pf: complex) -> NormalPoly:
+def _kx_poly(pf: complex = 1.0) -> NormalPoly:
     i2 = 0.5j
-    pfc = pf.conjugate()
+    pfc = complex(pf).conjugate()
     return NormalPoly(
         {
             (0, 1, 0, 0, 0, 0, 1, 0): i2 * pf,  # a2† b1
@@ -130,41 +128,38 @@ def _kx_poly(pf: complex) -> NormalPoly:
     )
 
 
-def _basis_ops(beam_splitter: bool, pf: complex, route: str):
-    """Four Hermitian basis operators and the combination mode.
+def _basis_ops(beam_splitter: bool):
+    """Four Hermitian basis operators at unit phase factor, and the mode
+    that combines them.
 
-    mode "cd": basis = (J_C^Z, J_C^X, J_D^Z, J_D^X) directly.
-    mode "pk": basis = (P^Z, P^X, K^Z, K^X) sum/difference regrouping.
+    mode "pk": basis = (P^Z, P^X, K^Z, K^X), the sum/difference regrouping.
+    mode "cd": basis = (J_A^Z, J_A^X, J_B^Z, J_B^X), without the splitter.
     """
-    if beam_splitter and route == "decomposition":
-        jax_, _, jaz = spin_operators(SITE_A, pf)
-        jbx, _, jbz = spin_operators(SITE_B, pf)
-        return [jaz + jbz, jax_ + jbx, _kz_poly(), _kx_poly(pf)], "pk"
-    if route not in ("decomposition", "direct"):
-        raise ValueError(f"unknown route {route!r}")
-    site_c, site_d = (SITE_C, SITE_D) if beam_splitter else (SITE_A, SITE_B)
-    jcx, _, jcz = spin_operators(site_c, pf)
-    jdx, _, jdz = spin_operators(site_d, pf)
-    return [jcz, jcx, jdz, jdx], "cd"
+    jax_, _, jaz = spin_operators(SITE_A)
+    jbx, _, jbz = spin_operators(SITE_B)
+    if beam_splitter:
+        return [jaz + jbz, jax_ + jbx, _kz_poly(), _kx_poly()], "pk"
+    return [jaz, jax_, jbz, jbx], "cd"
 
 
-def _stats(eval_fn, ops):
-    """Means and symmetrized covariance matrix of the four basis ops."""
-    means = [np.real(eval_fn(op)) for op in ops]
-    V = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i, 4):
-            sym = 0.5 * (ops[i] * ops[j] + ops[j] * ops[i])
-            V[i][j] = V[j][i] = np.real(eval_fn(sym)) - means[i] * means[j]
-    return means, V
+def _covariances(table, ops, pf) -> np.ndarray:
+    """(n_tau, n_ens, 4, 4) symmetrized covariance matrices of the basis ops."""
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    polys = ops + [0.5 * (ops[i] * ops[j] + ops[j] * ops[i]) for i, j in pairs]
+    e = CompiledPolys(polys).expectations(table, pf).real
+    means = e[..., :4]
+    V = np.empty(e.shape[:2] + (4, 4))
+    for n, (i, j) in enumerate(pairs):
+        V[..., i, j] = V[..., j, i] = e[..., 4 + n] - means[..., i] * means[..., j]
+    return V
 
 
 def _quad(V, i, j, c, s):
     """cov(c·Z_i + s·X_i, c·Z_j + s·X_j) for block offsets i, j in {0, 2}."""
     return (
-        c * c * V[i][j]
-        + s * s * V[i + 1][j + 1]
-        + c * s * (V[i][j + 1] + V[i + 1][j])
+        c * c * V[..., i, j]
+        + s * s * V[..., i + 1, j + 1]
+        + c * s * (V[..., i, j + 1] + V[..., i + 1, j])
     )
 
 
@@ -195,11 +190,6 @@ def _combos(mode: str, V, theta):
     }
 
 
-def _merged_V(V):
-    take = lambda v: float(np.asarray(v).flat[0])
-    return [[take(V[i][j]) for j in range(4)] for i in range(4)]
-
-
 def _objective(mode: str, V, theta, objective: str):
     a = _combos(mode, V, theta)
     b = _combos(mode, V, theta + 0.5 * math.pi)
@@ -210,65 +200,79 @@ def _objective(mode: str, V, theta, objective: str):
     return a["v_minus"] * b["v_plus"]
 
 
-def optimal_theta(V, mode: str, objective: str = "product", n_scan: int = 720) -> float:
-    """Angle minimizing the joint inference-variance product.
+def optimal_theta(V, mode: str, objective: str = "product", n_scan: int = 720) -> np.ndarray:
+    """Angles minimizing the joint inference-variance product, one per
+    covariance matrix of V (shape (n_tau, 4, 4)).
 
-    Dense scan over (-pi/2, pi/2) followed by golden-section refinement
-    of the winning bracket (the objective is smooth and pi-periodic).
+    Dense scan over (-pi/2, pi/2), then golden-section refinement of each
+    winning bracket (the objective is smooth and pi-periodic).  All
+    brackets are refined together; each stops once narrower than
+    GOLDEN_TOL.
     """
+    f = lambda x: _objective(mode, V, x, objective)
     grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_scan, endpoint=False)
-    vals = _objective(mode, V, grid, objective)
-    i = int(np.argmin(vals))
+    i = np.concatenate(
+        [
+            np.argmin(_objective(mode, V[k : k + SCAN_BLOCK, None], grid, objective), axis=-1)
+            for k in range(0, len(V), SCAN_BLOCK)
+        ]
+    )
     step = math.pi / n_scan
     a, b = grid[i] - step, grid[i] + step
     inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc = float(_objective(mode, V, c, objective))
-    fd = float(_objective(mode, V, d, objective))
+    fc, fd = f(c), f(d)
+    active = b - a >= GOLDEN_TOL
     for _ in range(64):
-        if b - a < 1e-12:
+        if not active.any():
             break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = float(_objective(mode, V, c, objective))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = float(_objective(mode, V, d, objective))
+        left = active & (fc <= fd)  # keep [a, d]: c becomes d, probe a new c
+        right = active & ~(fc <= fd)  # keep [c, b]: d becomes c, probe a new d
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        fx = f(x)
+        c, d, fc, fd = (
+            np.where(left, x, np.where(right, d, c)),
+            np.where(left, c, np.where(right, x, d)),
+            np.where(left, fx, np.where(right, fd, fc)),
+            np.where(left, fc, np.where(right, fx, fd)),
+        )
+        active &= b - a >= GOLDEN_TOL
     theta = 0.5 * (a + b)
-    if theta <= -0.5 * math.pi:
-        theta += math.pi
-    elif theta > 0.5 * math.pi:
-        theta -= math.pi
-    return float(theta)
+    return np.where(
+        theta <= -0.5 * math.pi,
+        theta + math.pi,
+        np.where(theta > 0.5 * math.pi, theta - math.pi, theta),
+    )
 
 
 def joint_moments(
-    eval_fn,
-    theta: float | None = None,
+    table,
+    theta=None,
     beam_splitter: bool = True,
-    route: str = "decomposition",
     objective: str = "product",
 ) -> JointSpinMoments:
-    """Joint spin moments at angle θ (optimized over the merged ensemble
-    when not given)."""
+    """Joint spin moments at angles θ (per tau, or one for all taus);
+    optimized on the merged ensemble when not given."""
     site_c, site_d = (SITE_C, SITE_D) if beam_splitter else (SITE_A, SITE_B)
-    w_c = eval_fn(raising_bilinear(site_c))
-    w_d = eval_fn(raising_bilinear(site_d))
-    pf = phase_factor_from(scalar_of(w_c))
-    ops, mode = _basis_ops(beam_splitter, pf, route)
-    _, V = _stats(eval_fn, ops)
+    raising = CompiledPolys([raising_bilinear(site_c), raising_bilinear(site_d)])
+    w = raising.expectations(table)
+    w_c, w_d = w[..., 0], w[..., 1]
+    pf = phase_factor_from(w_c[:, 0])
+    ops, mode = _basis_ops(beam_splitter)
+    V = _covariances(table, ops, pf)
     if theta is None:
-        theta = optimal_theta(_merged_V(V), mode, objective)
-    at = _combos(mode, V, theta)
-    ap = _combos(mode, V, theta + 0.5 * math.pi)
+        theta = optimal_theta(V[:, 0], mode, objective)
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), w_c.shape[:1])
+    at = _combos(mode, V, theta[:, None])
+    ap = _combos(mode, V, theta[:, None] + 0.5 * math.pi)
     return JointSpinMoments(
-        theta=float(theta),
-        delta_theta=delta_theta_from(scalar_of(w_c)),
-        mean_JY_C=np.imag(pf * w_c),
-        mean_JY_D=np.imag(pf * w_d),
+        theta=theta,
+        delta_theta=delta_theta_from(w_c[:, 0]),
+        mean_JY_C=np.imag(pf[:, None] * w_c),
+        mean_JY_D=np.imag(pf[:, None] * w_d),
         var_minus_theta=at["v_minus"],
         var_plus_theta=at["v_plus"],
         var_minus_perp=ap["v_minus"],
@@ -289,7 +293,7 @@ def _n0(j: JointSpinMoments):
 def e_product(j: JointSpinMoments):
     """sqrt(Δ²(J_C^θ−J_D^θ)·Δ²(J_C^θ'+J_D^θ')) over the two-site shot noise."""
     n0 = _n0(j)
-    if np.ndim(n0) == 0 and n0 == 0.0:
+    if np.any(n0 == 0.0):
         raise DegenerateReferenceError("zero mean transverse spin at both sites")
     num = np.sqrt(np.maximum(j.var_minus_theta, 0.0) * np.maximum(j.var_plus_perp, 0.0))
     return num / n0
@@ -297,19 +301,17 @@ def e_product(j: JointSpinMoments):
 
 def optimal_gains(j: JointSpinMoments) -> GainPair:
     """Gains minimizing the two inference variances (merged ensemble)."""
-    m = j.merged()
-    if m.var_JD_theta <= 0.0 or m.var_JD_perp <= 0.0:
+    var_theta = j.var_JD_theta[:, 0]
+    var_perp = j.var_JD_perp[:, 0]
+    if np.any(var_theta <= 0.0) or np.any(var_perp <= 0.0):
         raise DegenerateReferenceError("zero variance at the inferring site")
-    return GainPair(
-        m.cov_theta / m.var_JD_theta,
-        -m.cov_perp / m.var_JD_perp,
-    )
+    return GainPair(j.cov_theta[:, 0] / var_theta, -j.cov_perp[:, 0] / var_perp)
 
 
 def inference_variances(j: JointSpinMoments, gains: GainPair):
     """Δ²(J_C^θ − g J_D^θ) and Δ²(J_C^θ' + g' J_D^θ')."""
-    g = gains.g
-    gp = gains.g_prime
+    g = np.asarray(gains.g)[..., None]
+    gp = np.asarray(gains.g_prime)[..., None]
     v1 = j.var_JC_theta - 2.0 * g * j.cov_theta + g * g * j.var_JD_theta
     v2 = j.var_JC_perp + 2.0 * gp * j.cov_perp + gp * gp * j.var_JD_perp
     return v1, v2
@@ -318,7 +320,7 @@ def inference_variances(j: JointSpinMoments, gains: GainPair):
 def e_epr_product(j: JointSpinMoments, gains: GainPair):
     """Gain-optimized steering product over the single-site reference |<J_C^Y>|/2."""
     ref = 0.5 * np.abs(j.mean_JY_C)
-    if np.ndim(ref) == 0 and ref == 0.0:
+    if np.any(ref == 0.0):
         raise DegenerateReferenceError("zero mean transverse spin at site C")
     v1, v2 = inference_variances(j, gains)
     return np.sqrt(np.maximum(v1, 0.0) * np.maximum(v2, 0.0)) / ref
@@ -332,25 +334,21 @@ def duan_sum_spin(j: JointSpinMoments):
 
 
 def evaluate_criteria(
-    eval_fn,
-    tau: float,
+    table,
     beam_splitter: bool = True,
-    theta: float | None = None,
+    theta=None,
     objective: str = "product",
-    route: str = "decomposition",
 ) -> CriteriaResult:
-    """Full per-tau criteria bundle (angle, gains, S∓, products, sum)."""
-    j = joint_moments(eval_fn, theta, beam_splitter, route, objective)
+    """Criteria for every tau of a moment table (angle, gains, S∓,
+    products, sum)."""
+    j = joint_moments(table, theta, beam_splitter, objective)
     gains = optimal_gains(j)
     n0 = _n0(j)
-    s_minus = j.var_minus_theta / n0
-    s_plus = j.var_plus_perp / n0
     return CriteriaResult(
-        tau=float(tau),
         theta_opt=j.theta,
         delta_theta=j.delta_theta,
-        S_minus=s_minus,
-        S_plus=s_plus,
+        S_minus=j.var_minus_theta / n0,
+        S_plus=j.var_plus_perp / n0,
         E_product=e_product(j),
         E_EPR_product=e_epr_product(j, gains),
         g=gains.g,

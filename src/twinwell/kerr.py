@@ -20,7 +20,8 @@ a_i f(N_j) = f(N_j + δ_ij) a_i leaves
 
 with λ_i = |α_i|².  An independent truncated Fock-basis oracle
 (`fock_site_moment`) cross-checks the closed form.  Wells never couple
-under this Hamiltonian, so cross-site monomials factorize.
+under this Hamiltonian, so cross-site monomials factorize, and
+`moment_table` tabulates the whole monomial basis for a grid of times.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import TruncationError
-from .operators import ModeMonomial
+from .operators import BASIS_KEYS, NBASIS, ModeMonomial
 
 
 def _abs2(x) -> float:
@@ -73,11 +74,15 @@ def site_moment(
     g11: float,
     g12: float,
     g22: float,
-    tau: float,
-) -> complex:
-    """Closed-form <a1†^p1 a2†^p2 a1^q1 a2^q2>(tau) for one well."""
+    tau,
+):
+    """Closed-form <a1†^p1 a2†^p2 a1^q1 a2^q2>(tau) for one well.
+
+    `tau` may be a scalar or an array of times; the result has its shape.
+    """
     alpha1 = complex(alpha1)
     alpha2 = complex(alpha2)
+    tau = np.asarray(tau, dtype=float)
     d1 = q1 - p1
     d2 = q2 - p2
     u1 = d1 * g11 + d2 * g12
@@ -95,58 +100,63 @@ def site_moment(
         pref *= alpha2
     val = (
         pref
-        * cmath.exp(_abs2(alpha1) * (cmath.exp(-1j * u1 * tau) - 1.0))
-        * cmath.exp(_abs2(alpha2) * (cmath.exp(-1j * u2 * tau) - 1.0))
+        * np.exp(_abs2(alpha1) * (np.exp(-1j * u1 * tau) - 1.0))
+        * np.exp(_abs2(alpha2) * (np.exp(-1j * u2 * tau) - 1.0))
     )
-    phi = tau * (
+    phase_rate = (
         0.5 * g11 * (p1 * (p1 - 1) - q1 * (q1 - 1))
         + 0.5 * g22 * (p2 * (p2 - 1) - q2 * (q2 - 1))
         + g12 * (p1 * p2 - q1 * q2)
     )
-    if phi != 0.0:
-        val *= cmath.exp(1j * phi)
+    if phase_rate != 0.0:
+        val = val * np.exp(1j * (tau * phase_rate))
     return val
 
 
-class KerrMomentSource:
-    """Monomial -> exact expectation provider for the two-well system.
+def _site_parts(key):
+    """(well A, well B) exponents (p1, p2, q1, q2) of a two-well monomial key."""
+    return (key[0], key[1], key[4], key[5]), (key[2], key[3], key[6], key[7])
 
-    Sites evolve independently, so cross-site monomials are products of
-    the per-site closed forms.  Values are cached per (monomial, tau).
+
+def moment_table(couplings, initial, taus) -> np.ndarray:
+    """Exact normal-ordered moments over the basis: (n_tau, 1, NBASIS).
+
+    The single ensemble row keeps the layout of the stochastic engine's
+    table.  Wells evolve independently, so each monomial is the product
+    of its two site parts, and each distinct site part is evaluated once
+    for all taus.
     """
+    taus = np.asarray(taus, dtype=float)
+    c = couplings
 
-    def __init__(self, couplings, initial, tau: float):
-        self.couplings = couplings
-        self.initial = initial
-        self.tau = float(tau)
-        self._cache: dict = {}
-
-    def __call__(self, key) -> complex:
-        v = self._cache.get(key)
-        if v is not None:
-            return v
-        c = self.couplings
-        a_part = (key[0], key[1], key[4], key[5])
-        b_part = (key[2], key[3], key[6], key[7])
-        v = 1.0 + 0j
-        if any(a_part):
-            aa = self.initial.alpha_a
-            v *= site_moment(*a_part[:2], *a_part[2:], aa, aa, c.g11, c.g12, c.g22, self.tau)
-        if any(b_part):
-            ab = self.initial.alpha_b
-            v *= site_moment(*b_part[:2], *b_part[2:], ab, ab, c.g11, c.g12, c.g22, self.tau)
-        self._cache[key] = v
+    def site(part, alpha, cache):
+        v = cache.get(part)
+        if v is None:
+            v = 1.0
+            if any(part):
+                v = site_moment(*part, alpha, alpha, c.g11, c.g12, c.g22, taus)
+            cache[part] = v
         return v
 
-    def evaluator(self):
-        """poly -> complex expectation (fsum over terms)."""
-        return lambda poly: poly.expectation(self)
+    table = np.empty((taus.size, 1, NBASIS), dtype=complex)
+    cache_a, cache_b = {}, {}
+    for i, key in enumerate(BASIS_KEYS):
+        a_part, b_part = _site_parts(key)
+        table[:, 0, i] = site(a_part, initial.alpha_a, cache_a) * site(
+            b_part, initial.alpha_b, cache_b
+        )
+    return table
 
 
 def kerr_moment(m, couplings, tau: float, initial) -> complex:
     """Exact expectation of a (possibly cross-site) normal-ordered monomial."""
     key = m.key if isinstance(m, ModeMonomial) else tuple(m)
-    return KerrMomentSource(couplings, initial, tau)(key)
+    c = couplings
+    v = 1.0 + 0j
+    for part, alpha in zip(_site_parts(key), (initial.alpha_a, initial.alpha_b)):
+        if any(part):
+            v *= site_moment(*part, alpha, alpha, c.g11, c.g12, c.g22, tau)
+    return complex(v)
 
 
 def default_fock_cutoff(nbar: float) -> int:
@@ -227,17 +237,8 @@ def fock_oracle_moment(m, couplings, tau: float, initial, cutoff: int | None = N
     """Oracle counterpart of `kerr_moment` (cross-site factorized)."""
     key = m.key if isinstance(m, ModeMonomial) else tuple(m)
     c = couplings
-    a_part = (key[0], key[1], key[4], key[5])
-    b_part = (key[2], key[3], key[6], key[7])
     v = 1.0 + 0j
-    if any(a_part):
-        aa = initial.alpha_a
-        v *= fock_site_moment(
-            *a_part[:2], *a_part[2:], aa, aa, c.g11, c.g12, c.g22, tau, cutoff
-        )
-    if any(b_part):
-        ab = initial.alpha_b
-        v *= fock_site_moment(
-            *b_part[:2], *b_part[2:], ab, ab, c.g11, c.g12, c.g22, tau, cutoff
-        )
+    for part, alpha in zip(_site_parts(key), (initial.alpha_a, initial.alpha_b)):
+        if any(part):
+            v *= fock_site_moment(*part, alpha, alpha, c.g11, c.g12, c.g22, tau, cutoff)
     return v

@@ -1,5 +1,9 @@
 """Schwinger-spin moments, optimal quadrature angle and squeezing for one site.
 
+Moments are read from a normal-ordered moment table of shape
+(n_tau, n_ens, NBASIS): ensemble row 0 is the merged ensemble (the only
+row of the exact engine), the rows after it are trajectory chunks.
+
 The mode-phase convention Δθ = π/2 − arg<a2† a1> makes <J^X> = 0 and
 <J^Y> = |<a2† a1>| ≥ 0 at every time; the squeezing reference is then
 |<J^Y>|/2.  The phase factor e^{iΔθ} is computed as i·conj(w)/|w| rather
@@ -9,139 +13,108 @@ shot-noise baselines exact to machine precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateReferenceError
-from .operators import SITE_A, SITE_B, raising_bilinear, spin_operators
+from .operators import SITE_A, SITE_B, CompiledPolys, raising_bilinear, spin_operators
 
 
-def scalar_of(x) -> complex:
-    """Collapse an evaluator result to its ensemble value.
-
-    Chunked (stochastic) evaluators return arrays whose first entry is
-    the merged-ensemble value; exact evaluators return plain scalars.
-    """
-    if isinstance(x, np.ndarray):
-        return complex(x.flat[0])
-    return complex(x)
-
-
-def phase_factor_from(w) -> complex:
+def phase_factor_from(w) -> np.ndarray:
     """e^{iΔθ} for Δθ = π/2 − arg(w), formed as i·conj(w)/|w|."""
-    w = complex(w)
-    aw = abs(w)
-    if aw == 0.0:
+    w = np.asarray(w, dtype=complex)
+    aw = np.abs(w)
+    if np.any(aw == 0.0):
         raise DegenerateReferenceError("zero transverse coherence <a2† a1>")
-    return 1j * w.conjugate() / aw
+    return 1j * np.conj(w) / aw
 
 
-def delta_theta_from(w) -> float:
-    w = complex(w)
-    return 0.5 * math.pi - math.atan2(w.imag, w.real)
+def delta_theta_from(w) -> np.ndarray:
+    w = np.asarray(w, dtype=complex)
+    return 0.5 * np.pi - np.arctan2(w.imag, w.real)
 
 
 @dataclass(frozen=True)
 class SpinMoments:
     """First and second moments of one site's spin triple.
 
-    Fields may be scalars (exact engine) or arrays over sub-ensembles
-    (stochastic engine, first entry = merged ensemble).
+    Moment fields are (n_tau, n_ens) arrays, ensemble row 0 = merged;
+    `delta_theta` is (n_tau,), fixed by the merged ensemble.
     """
 
-    mean_JX: float
-    mean_JY: float
-    mean_JZ: float
-    var_JZ: float
-    var_JX: float
-    cov_ZX: float
-    delta_theta: float = float("nan")
-
-    def merged(self) -> "SpinMoments":
-        take = lambda v: float(np.asarray(v).flat[0])
-        return SpinMoments(
-            take(self.mean_JX),
-            take(self.mean_JY),
-            take(self.mean_JZ),
-            take(self.var_JZ),
-            take(self.var_JX),
-            take(self.cov_ZX),
-            self.delta_theta,
-        )
+    mean_JX: np.ndarray
+    mean_JY: np.ndarray
+    mean_JZ: np.ndarray
+    var_JZ: np.ndarray
+    var_JX: np.ndarray
+    cov_ZX: np.ndarray
+    delta_theta: np.ndarray = float("nan")
 
 
-def spin_moments(eval_fn, site=SITE_A) -> SpinMoments:
-    """Assemble spin moments from a monomial-expectation evaluator.
+def spin_moments(table, site=SITE_A) -> SpinMoments:
+    """Spin moments of one site over a moment table.
 
-    `eval_fn` maps a NormalPoly to its expectation (scalar or chunked
-    array).  The phase convention is fixed from the merged ensemble.
+    The spin operators are compiled once per call at unit phase factor;
+    the phase convention is fixed per tau from the merged ensemble.
     """
-    w_all = eval_fn(raising_bilinear(site))
-    pf = phase_factor_from(scalar_of(w_all))
-    jx, jy, jz = spin_operators(site, pf)
+    jx, _, jz = spin_operators(site)
+    w = CompiledPolys([raising_bilinear(site)]).expectations(table)[..., 0]
+    pf = phase_factor_from(w[:, 0])
+    second = [jz, jz * jz, jx * jx, 0.5 * (jz * jx + jx * jz)]
+    e = CompiledPolys(second).expectations(table, pf).real
 
-    s_mean = pf * w_all  # <S> with the phase applied; Im -> J^Y, Re -> J^X
-    mean_jx = np.real(s_mean)
-    mean_jy = np.imag(s_mean)
-    mean_jz = np.real(eval_fn(jz))
-    var_jz = np.real(eval_fn(jz * jz)) - mean_jz * mean_jz
-    var_jx = np.real(eval_fn(jx * jx)) - mean_jx * mean_jx
-    cov_poly = 0.5 * (jz * jx + jx * jz)
-    cov_zx = np.real(eval_fn(cov_poly)) - mean_jz * mean_jx
+    s_mean = pf[:, None] * w  # <S> with the phase applied; Im -> J^Y, Re -> J^X
+    mean_jx = s_mean.real
+    mean_jz = e[..., 0]
     return SpinMoments(
         mean_jx,
-        mean_jy,
+        s_mean.imag,
         mean_jz,
-        var_jz,
-        var_jx,
-        cov_zx,
-        delta_theta_from(scalar_of(w_all)),
+        e[..., 1] - mean_jz * mean_jz,
+        e[..., 2] - mean_jx * mean_jx,
+        e[..., 3] - mean_jz * mean_jx,
+        delta_theta_from(w[:, 0]),
     )
 
 
-def rotated_variance(m: SpinMoments, theta) -> float:
+def rotated_variance(m: SpinMoments, theta):
     """Variance of J^θ = cosθ J^Z + sinθ J^X."""
     c = np.cos(theta)
     s = np.sin(theta)
     return c * c * m.var_JZ + s * s * m.var_JX + 2.0 * s * c * m.cov_ZX
 
 
-def _fold_angle(theta: float) -> float:
+def _fold_angle(theta):
     """Fold into (-pi/2, pi/2]."""
-    theta = math.fmod(theta, math.pi)
-    if theta <= -0.5 * math.pi:
-        theta += math.pi
-    elif theta > 0.5 * math.pi:
-        theta -= math.pi
-    return theta
+    theta = np.fmod(theta, np.pi)
+    return np.where(
+        theta <= -0.5 * np.pi, theta + np.pi, np.where(theta > 0.5 * np.pi, theta - np.pi, theta)
+    )
 
 
-def optimal_angle(m: SpinMoments) -> float:
-    """Angle in (-pi/2, pi/2] minimizing `rotated_variance`.
+def optimal_angle(m: SpinMoments):
+    """Angles in (-pi/2, pi/2] minimizing `rotated_variance`, elementwise.
 
     The stationarity condition tan(2θ) = 2 cov / (varZ − varX) yields a
     minimum/maximum pair; both candidates are compared explicitly.  The
-    fully degenerate case returns 0, and exact ties go to the smaller |θ|.
+    fully degenerate case gives 0, and exact ties go to the smaller |θ|.
     """
-    num = 2.0 * m.cov_ZX
-    den = m.var_JZ - m.var_JX
-    if num == 0.0 and den == 0.0:
-        return 0.0
-    t0 = _fold_angle(0.5 * math.atan2(num, den))
-    t1 = _fold_angle(t0 + 0.5 * math.pi)
+    num = 2.0 * np.asarray(m.cov_ZX, dtype=float)
+    den = np.asarray(m.var_JZ, dtype=float) - m.var_JX
+    t0 = _fold_angle(0.5 * np.arctan2(num, den))
+    t1 = _fold_angle(t0 + 0.5 * np.pi)
     v0 = rotated_variance(m, t0)
     v1 = rotated_variance(m, t1)
-    if v0 == v1:
-        return t0 if abs(t0) <= abs(t1) else t1
-    return t0 if v0 < v1 else t1
+    tie = np.where(np.abs(t0) <= np.abs(t1), t0, t1)
+    theta = np.where(v0 == v1, tie, np.where(v0 < v1, t0, t1))
+    return np.where((num == 0.0) & (den == 0.0), 0.0, theta)
 
 
-def squeezing(m: SpinMoments, theta) -> float:
+def squeezing(m: SpinMoments, theta):
     """Rotated variance over the Heisenberg reference |<J^Y>|/2; < 1 squeezed."""
     ref = 0.5 * np.abs(m.mean_JY)
-    if np.ndim(ref) == 0 and ref == 0.0:
+    if np.any(ref == 0.0):
         raise DegenerateReferenceError("mean transverse spin <J^Y> is zero")
     return rotated_variance(m, theta) / ref
 
@@ -154,7 +127,6 @@ __all__ = [
     "squeezing",
     "phase_factor_from",
     "delta_theta_from",
-    "scalar_of",
     "SITE_A",
     "SITE_B",
 ]

@@ -8,9 +8,11 @@ Three pipelines mirror the three experiments:
   dynamic   simultaneous tunneling + nonlinearity (+ losses), stochastic
             engine, criteria with or without a final beam splitter
 
-Every pipeline emits the same fixed row schema; standard-error columns
-are filled for stochastic runs only (sub-ensemble spread with angle and
-gains frozen at the merged-ensemble optimum).
+Both engines produce one normal-ordered moment table per sweep, and the
+criteria are evaluated on it for all taus at once.  Every pipeline emits
+the same fixed row schema; standard-error columns are filled for
+stochastic runs only (sub-ensemble spread with angle and gains frozen at
+the merged-ensemble optimum).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import __version__
 from .config import RunConfig, config_hash
 from .criteria import evaluate_criteria
 from .errors import ConfigError
-from .kerr import KerrMomentSource
+from .kerr import moment_table
 from .spins import optimal_angle, spin_moments, squeezing
 from .wigner import run_ensemble
 
@@ -71,53 +73,46 @@ class SweepRow:
     se_duan_sum: float | None = None
 
 
-def _point(x) -> float:
-    return float(np.asarray(x).flat[0])
+def _se(x: np.ndarray) -> list:
+    """Per-tau standard errors from the chunk rows of an (n_tau, n_ens)
+    array; None without at least two chunks."""
+    if x.shape[1] <= 2:
+        return [None] * x.shape[0]
+    chunks = x[:, 1:]
+    return [float(v) for v in chunks.std(ddof=1, axis=1) / math.sqrt(chunks.shape[1])]
 
 
-def _se(x) -> float | None:
-    arr = np.asarray(x)
-    if arr.ndim == 0 or arr.size <= 2:
-        return None
-    chunks = arr.ravel()[1:]
-    return float(chunks.std(ddof=1) / math.sqrt(chunks.size))
-
-
-def _local_squeezing(eval_fn):
-    """(S_local, theta_local) at the site-A optimum of the merged ensemble."""
-    m = spin_moments(eval_fn)
-    theta = optimal_angle(m.merged())
-    return squeezing(m, theta), theta
-
-
-def criteria_row(eval_fn, tau: float, sweep, beam_splitter: bool = True) -> SweepRow:
-    s_local, _ = _local_squeezing(eval_fn)
+def criteria_row(table, sweep, beam_splitter: bool = True) -> list[SweepRow]:
+    """One row per tau of `sweep` from its (n_tau, n_ens, NBASIS) moment table."""
+    m = spin_moments(table)
+    s_local = squeezing(m, optimal_angle(m)[:, :1])
     r = evaluate_criteria(
-        eval_fn,
-        tau,
+        table,
         beam_splitter=beam_splitter,
         theta=sweep.fixed_theta,
         objective=sweep.theta_objective,
     )
-    return SweepRow(
-        tau=tau,
-        theta_opt=r.theta_opt,
-        delta_theta=r.delta_theta,
-        S_local=_point(s_local),
-        S_minus=_point(r.S_minus),
-        S_plus=_point(r.S_plus),
-        E_product=_point(r.E_product),
-        E_EPR_product=_point(r.E_EPR_product),
-        g=r.g,
-        g_prime=r.g_prime,
-        duan_sum=_point(r.duan_sum),
-        se_S_local=_se(s_local),
-        se_S_minus=_se(r.S_minus),
-        se_S_plus=_se(r.S_plus),
-        se_E_product=_se(r.E_product),
-        se_E_EPR_product=_se(r.E_EPR_product),
-        se_duan_sum=_se(r.duan_sum),
-    )
+    values = {
+        "S_local": s_local,
+        "S_minus": r.S_minus,
+        "S_plus": r.S_plus,
+        "E_product": r.E_product,
+        "E_EPR_product": r.E_EPR_product,
+        "duan_sum": r.duan_sum,
+    }
+    errors = {f"se_{name}": _se(x) for name, x in values.items()}
+    return [
+        SweepRow(
+            tau=tau,
+            theta_opt=float(r.theta_opt[i]),
+            delta_theta=float(r.delta_theta[i]),
+            g=float(r.g[i]),
+            g_prime=float(r.g_prime[i]),
+            **{name: float(x[i, 0]) for name, x in values.items()},
+            **{name: se[i] for name, se in errors.items()},
+        )
+        for i, tau in enumerate(sweep.taus)
+    ]
 
 
 def _require_no_tunneling(cfg: RunConfig, what: str) -> None:
@@ -131,20 +126,18 @@ def _require_no_tunneling(cfg: RunConfig, what: str) -> None:
 def squeeze_sweep(cfg: RunConfig) -> list[SweepRow]:
     """Single-site squeezing vs tau (exact engine, no beam splitter)."""
     _require_no_tunneling(cfg, "the exact engine")
-    rows = []
-    for tau in cfg.sweep.taus:
-        ev = KerrMomentSource(cfg.couplings, cfg.initial, tau).evaluator()
-        m = spin_moments(ev)
-        theta = optimal_angle(m)
-        rows.append(
-            SweepRow(
-                tau=tau,
-                theta_opt=theta,
-                delta_theta=m.delta_theta,
-                S_local=float(squeezing(m, theta)),
-            )
+    m = spin_moments(moment_table(cfg.couplings, cfg.initial, cfg.sweep.taus))
+    theta = optimal_angle(m)[:, 0]
+    s_local = squeezing(m, theta[:, None])[:, 0]
+    return [
+        SweepRow(
+            tau=tau,
+            theta_opt=float(theta[i]),
+            delta_theta=float(m.delta_theta[i]),
+            S_local=float(s_local[i]),
         )
-    return rows
+        for i, tau in enumerate(cfg.sweep.taus)
+    ]
 
 
 def two_step_sweep(cfg: RunConfig, engine: str = "exact") -> list[SweepRow]:
@@ -153,11 +146,8 @@ def two_step_sweep(cfg: RunConfig, engine: str = "exact") -> list[SweepRow]:
     if engine == "exact":
         if cfg.losses.enabled:
             raise ConfigError(["losses: the exact engine supports lossless dynamics only"])
-        rows = []
-        for tau in cfg.sweep.taus:
-            ev = KerrMomentSource(cfg.couplings, cfg.initial, tau).evaluator()
-            rows.append(criteria_row(ev, tau, cfg.sweep, beam_splitter=True))
-        return rows
+        table = moment_table(cfg.couplings, cfg.initial, cfg.sweep.taus)
+        return criteria_row(table, cfg.sweep, beam_splitter=True)
     if engine != "wigner":
         raise ConfigError([f"engine: expected 'exact' or 'wigner', got {engine!r}"])
     return _wigner_rows(cfg, beam_splitter=True)
@@ -170,10 +160,7 @@ def dynamic_sweep(cfg: RunConfig, beam_splitter: bool = False) -> list[SweepRow]
 
 def _wigner_rows(cfg: RunConfig, beam_splitter: bool) -> list[SweepRow]:
     run = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, cfg.sweep.taus, cfg.wigner)
-    return [
-        criteria_row(run.source(i), tau, cfg.sweep, beam_splitter=beam_splitter)
-        for i, tau in enumerate(run.taus)
-    ]
+    return criteria_row(run.moment_table(), cfg.sweep, beam_splitter=beam_splitter)
 
 
 def min_over_tau(taus, values, reevaluate=None):
@@ -282,16 +269,12 @@ def validation_report(cfg: RunConfig, n_traj: int | None = None):
     else:
         run = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, taus, cfg.wigner, n_traj=n_traj)
     if run is not None:
-        worst_dev = 0.0
-        for i, tau in enumerate(taus):
-            src = run.source(i)
-            rw = evaluate_criteria(src, tau)
-            ex = KerrMomentSource(cfg.couplings, cfg.initial, tau).evaluator()
-            re_ = evaluate_criteria(ex, tau, theta=rw.theta_opt)
-            arr = np.asarray(rw.E_product)
-            se = arr[1:].std(ddof=1) / math.sqrt(arr.size - 1)
-            if se > 0:
-                worst_dev = max(worst_dev, abs(arr[0] - re_.E_product) / se)
+        rw = evaluate_criteria(run.moment_table())
+        re_ = evaluate_criteria(moment_table(cfg.couplings, cfg.initial, taus), theta=rw.theta_opt)
+        chunks = rw.E_product[:, 1:]
+        se = chunks.std(ddof=1, axis=1) / math.sqrt(chunks.shape[1])
+        dev = np.abs(rw.E_product[:, 0] - re_.E_product[:, 0])
+        worst_dev = float(np.max(dev[se > 0] / se[se > 0], initial=0.0))
         passed = worst_dev < 4.0
         ok &= passed
         lines.append(

@@ -36,43 +36,25 @@ import numpy as np
 
 from .config import InitialState, LossRates, PhysicalCouplings, SimConfig
 from .errors import ConfigError, DivergenceError
-from .operators import ModeMonomial
+from .operators import BASIS_INDEX, BASIS_KEYS, NBASIS
 
-# ---------------------------------------------------------------------------
-# monomial basis: all (p, q) exponent vectors with total order <= 4
-
-MAX_ORDER = 4
 # z-vector columns are (a1, b1, a2, b2); monomial mode order is (a1, a2, b1, b2)
 MODE_TO_ZCOL = (0, 2, 1, 3)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _gen_basis():
-    keys = []
-    for order in range(MAX_ORDER + 1):
-        keys.extend(sorted(_compositions(order, 8)))
-    index = {k: i for i, k in enumerate(keys)}
-    plan = []  # (column, parent column, variable column in the 8-var table)
-    for i, k in enumerate(keys):
-        if sum(k) == 0:
-            continue
+def _build_plan():
+    """(column, parent column, variable column in the 8-var table) per
+    non-constant basis monomial: each is its parent times one variable."""
+    plan = []
+    for i, k in enumerate(BASIS_KEYS[1:], start=1):
         j = next(pos for pos, e in enumerate(k) if e)
         parent = list(k)
         parent[j] -= 1
-        plan.append((i, index[tuple(parent)], j))
-    return tuple(keys), index, tuple(plan)
+        plan.append((i, BASIS_INDEX[tuple(parent)], j))
+    return tuple(plan)
 
 
-BASIS_KEYS, BASIS_INDEX, _BUILD_PLAN = _gen_basis()
-NBASIS = len(BASIS_KEYS)
+_BUILD_PLAN = _build_plan()
 
 
 def _cahill_matrix() -> np.ndarray:
@@ -124,7 +106,6 @@ def monomial_columns(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 class ChunkStats:
     count: int
     sums: np.ndarray  # (NBASIS,) complex
-    sumsq: np.ndarray  # (NBASIS,) float, sums of |monomial|^2
 
 
 class MomentAccumulator:
@@ -138,10 +119,10 @@ class MomentAccumulator:
     def __init__(self, chunks: dict[int, ChunkStats] | None = None):
         self.chunks: dict[int, ChunkStats] = dict(chunks) if chunks else {}
 
-    def add_chunk(self, chunk_id: int, count: int, sums, sumsq) -> None:
+    def add_chunk(self, chunk_id: int, count: int, sums) -> None:
         if chunk_id in self.chunks:
             raise ValueError(f"duplicate chunk id {chunk_id}")
-        self.chunks[chunk_id] = ChunkStats(int(count), sums, sumsq)
+        self.chunks[chunk_id] = ChunkStats(int(count), sums)
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
         overlap = self.chunks.keys() & other.chunks.keys()
@@ -167,13 +148,6 @@ class MomentAccumulator:
         """(n_chunks, NBASIS), chunk-id order."""
         return np.vstack([c.sums / c.count for c in self._ordered()])
 
-    def moment_stderr(self) -> np.ndarray:
-        """Per-monomial standard error of the mean (|.|-sense)."""
-        n = self.count
-        sumsq = np.vstack([c.sumsq for c in self._ordered()]).sum(axis=0)
-        var = np.maximum(sumsq / n - np.abs(self.mean()) ** 2, 0.0)
-        return np.sqrt(var / max(n - 1, 1))
-
 
 def symmetric_to_normal(acc: MomentAccumulator) -> dict:
     """Normal-ordered moment table from a symmetric-ordered accumulator."""
@@ -182,37 +156,22 @@ def symmetric_to_normal(acc: MomentAccumulator) -> dict:
 
 
 class WignerMomentSource:
-    """Evaluator over one output time of a run.
+    """Normal-ordered moment table of a run.
 
-    Calling with a NormalPoly returns an array whose first entry is the
-    merged-ensemble expectation and the rest are per-chunk expectations
-    (for standard errors).  Calling with a monomial key or ModeMonomial
-    returns the merged normal-ordered moment.
+    `table[i]` holds, at output time i, the merged-ensemble moments in
+    row 0 and each chunk's moments (chunk-id order, for standard errors)
+    in the rows after it: shape (n_tau, 1 + n_chunks, NBASIS).
     """
 
-    def __init__(self, acc: MomentAccumulator):
-        merged = acc.mean()
-        table = np.vstack([merged[None, :], acc.chunk_means()])
-        self._weyl = table
-        self._normal_merged = CAHILL @ merged
-        self.n_chunks = table.shape[0] - 1
-
-    def poly_weights(self, poly) -> np.ndarray:
-        w = np.zeros(NBASIS, dtype=complex)
-        for key, c in poly.terms.items():
-            idx = BASIS_INDEX.get(key)
-            if idx is None:
-                raise ValueError(f"monomial order {sum(key)} exceeds accumulated order {MAX_ORDER}")
-            w[idx] += c
-        return w
-
-    def __call__(self, item):
-        if isinstance(item, ModeMonomial):
-            return complex(self._normal_merged[BASIS_INDEX[item.key]])
-        if isinstance(item, tuple):
-            return complex(self._normal_merged[BASIS_INDEX[item]])
-        weyl_weights = CAHILL.T @ self.poly_weights(item)
-        return self._weyl @ weyl_weights
+    def __init__(self, accumulators):
+        n_ens = 1 + len(accumulators[0].chunks)
+        self.table = np.empty((len(accumulators), n_ens, NBASIS), dtype=complex)
+        for out, acc in zip(self.table, accumulators):
+            weyl = np.vstack([acc.mean(), acc.chunk_means()])
+            # CAHILL is real: convert the real and imaginary parts in one product
+            normal = np.vstack([weyl.real, weyl.imag]) @ CAHILL.T
+            out.real = normal[:n_ens]
+            out.imag = normal[n_ens:]
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +334,9 @@ class WignerRun:
     n_traj: int
     params: SimConfig
 
-    def source(self, index: int) -> WignerMomentSource:
-        return WignerMomentSource(self.accumulators[index])
+    def moment_table(self) -> np.ndarray:
+        """(n_tau, 1 + n_chunks, NBASIS) normal-ordered moments."""
+        return WignerMomentSource(self.accumulators).table
 
 
 def _chunk_rng(seed: int, chunk_id: int) -> np.random.Generator:
@@ -428,9 +388,7 @@ def run_ensemble(
         for c in range(n_chunks):
             zc = z[slices[c]]
             monomial_columns(zc, out=cols)
-            sums = cols.sum(axis=0)
-            sumsq = (cols.real * cols.real + cols.imag * cols.imag).sum(axis=0)
-            accumulators[i_tau].add_chunk(chunk_offset + c, csize, sums, sumsq)
+            accumulators[i_tau].add_chunk(chunk_offset + c, csize, cols.sum(axis=0))
 
     def check_finite(tau: float, steps_done: int) -> None:
         finite = np.isfinite(z).all(axis=1)

@@ -133,6 +133,14 @@ class TestErrorPaths:
         assert code == 2
         assert "gamma12" in err
 
+    def test_non_finite_number_exit_2(self, capsys, tmp_path):
+        # json writes and reads NaN; it must not reach the sweep
+        cfg = write_cfg(tmp_path, {"sweep": {"tau_max": float("nan"), "n_tau": 3}})
+        code, out, err = run_cli(capsys, "two-step", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "tau_max" in err and "finite" in err
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "squeeze", "--config", str(tmp_path / "nope.json"))
         assert code == 2

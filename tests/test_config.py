@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -65,6 +66,27 @@ def test_negative_rate_names_field():
 def test_empty_tau_grid_rejected():
     with pytest.raises(ConfigError, match="tau_grid"):
         validate_config({"sweep": {"tau_grid": []}})
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"sweep": {"tau_max": math.nan, "n_tau": 3}}, "tau_max"),
+        ({"sweep": {"tau_max": 1.0, "n_tau": math.inf}}, "n_tau"),
+        ({"sweep": {"tau_grid": [0.0, math.inf]}}, "tau_grid"),
+        ({"sweep": {"tau_grid": [math.nan, 1.0]}}, "tau_grid"),
+        ({"sweep": {"fixed_theta": math.nan}}, "fixed_theta"),
+        ({"preset": {"tag": "B9p116G", "kappa": math.nan}}, "kappa"),
+        ({"couplings": {"g11": 0.01, "g12": -math.inf}}, "g12"),
+        ({"losses": {"gamma12": math.nan}}, "gamma12"),
+        ({"initial": {"N_A": math.inf}}, "N_A"),
+        ({"wigner": {"dtau": math.inf}}, "dtau"),
+    ],
+)
+def test_non_finite_numbers_rejected(doc, field):
+    # Python's json reads NaN, Infinity and -Infinity as floats
+    with pytest.raises(ConfigError, match=f"{field}.*finite"):
+        validate_config(json.loads(json.dumps(doc)))
 
 
 def test_non_monotone_grid_rejected():

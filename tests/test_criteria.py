@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from twinwell.config import InitialState, preset_couplings
+import criteria_oracle as oracle
+from twinwell.config import InitialState, LossRates, SimConfig, SweepParams, preset_couplings
 from twinwell.criteria import (
     GainPair,
+    JointSpinMoments,
     e_epr_product,
     e_product,
     evaluate_criteria,
@@ -14,174 +16,229 @@ from twinwell.criteria import (
     optimal_gains,
 )
 from twinwell.errors import DegenerateReferenceError
-from twinwell.kerr import KerrMomentSource
+from twinwell.kerr import moment_table
+from twinwell.spins import optimal_angle, spin_moments, squeezing
+from twinwell.sweeps import criteria_row
+from twinwell.wigner import run_ensemble
 
 
-def exact_eval(tag, N, tau):
+def exact_table(tag, N, taus, **initial):
     coup = preset_couplings(tag, N)
-    init = InitialState(N_A=N)
-    return KerrMomentSource(coup, init, tau).evaluator()
+    return moment_table(coup, InitialState(N_A=N, **initial), np.atleast_1d(taus))
+
+
+def exact_criteria(tag, N, taus, **kwargs):
+    return evaluate_criteria(exact_table(tag, N, taus), **kwargs)
 
 
 class TestShotNoiseBaselines:
     @pytest.mark.parametrize("N", [200.0, 2000.0])
     def test_zero_time(self, N):
-        r = evaluate_criteria(exact_eval("B9p116G", N, 0.0), 0.0)
-        assert r.S_minus == pytest.approx(1.0, abs=1e-10)
-        assert r.S_plus == pytest.approx(1.0, abs=1e-10)
-        assert r.E_product == pytest.approx(1.0, abs=1e-10)
-        assert r.E_EPR_product == pytest.approx(1.0, abs=1e-10)
-        assert abs(r.duan_sum) < 1e-10
-        assert r.g == pytest.approx(0.0, abs=1e-12)
-        assert r.g_prime == pytest.approx(0.0, abs=1e-12)
+        r = exact_criteria("B9p116G", N, 0.0)
+        assert r.S_minus[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert r.S_plus[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert r.E_product[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert r.E_EPR_product[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert abs(r.duan_sum[0, 0]) < 1e-10
+        assert r.g[0] == pytest.approx(0.0, abs=1e-12)
+        assert r.g_prime[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_splitter_uncorrelated_inputs(self):
-        r = evaluate_criteria(exact_eval("B9p116G", 200.0, 0.0), 0.0, beam_splitter=False)
-        assert r.E_product == pytest.approx(1.0, abs=1e-10)
-        assert abs(r.duan_sum) < 1e-10
+        r = exact_criteria("B9p116G", 200.0, 0.0, beam_splitter=False)
+        assert r.E_product[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert abs(r.duan_sum[0, 0]) < 1e-10
+
+
+def assert_matches_oracle(r, table, i, fields, rel, abs_=0.0):
+    """Row i of a compiled result against the per-tau oracle at the same angle."""
+    o = oracle.criteria(table[i], theta=float(r.theta_opt[i]))
+    for f in fields:
+        got = getattr(r, f)[i] if f in ("g", "g_prime") else getattr(r, f)[i, 0]
+        want = o[f] if f in ("g", "g_prime") else o[f][0]
+        assert got == pytest.approx(want, rel=rel, abs=abs_), f
 
 
 class TestRouteEquivalence:
+    """The sum/difference regrouping against the head-on expansion."""
+
     def test_decomposition_matches_direct(self):
         rng = np.random.default_rng(9)
-        for tau in rng.uniform(0.2, 8.0, 6):
-            ev = exact_eval("B9p116G", 200.0, float(tau))
-            a = evaluate_criteria(ev, tau, route="decomposition")
-            b = evaluate_criteria(ev, tau, route="direct", theta=a.theta_opt)
-            for f in ("S_minus", "S_plus", "E_product", "E_EPR_product", "duan_sum", "g", "g_prime"):
-                va, vb = getattr(a, f), getattr(b, f)
-                assert va == pytest.approx(vb, rel=1e-9, abs=1e-9), f
+        taus = rng.uniform(0.2, 8.0, 6)
+        table = exact_table("B9p116G", 200.0, taus)
+        r = evaluate_criteria(table)
+        for i in range(len(taus)):
+            fields = ("S_minus", "S_plus", "E_product", "E_EPR_product", "duan_sum", "g", "g_prime")
+            assert_matches_oracle(r, table, i, fields, rel=1e-9, abs_=1e-9)
 
     def test_routes_agree_for_asymmetric_wells(self):
         # unequal wells break the A/B exchange symmetry, so the sum/
         # difference regrouping only stays exact through its cross term
-        coup = preset_couplings("B9p116G", 200.0)
-        init = InitialState(N_A=200.0, N_B=120.0)
-        for tau in (1.0, 4.0):
-            ev = KerrMomentSource(coup, init, tau).evaluator()
-            a = evaluate_criteria(ev, tau, route="decomposition")
-            b = evaluate_criteria(ev, tau, route="direct", theta=a.theta_opt)
-            for f in ("S_minus", "S_plus", "E_product", "E_EPR_product", "g", "g_prime"):
-                assert getattr(a, f) == pytest.approx(getattr(b, f), rel=1e-9), f
-            assert a.joint.mean_JY_C != pytest.approx(a.joint.mean_JY_D, rel=1e-3)
+        table = exact_table("B9p116G", 200.0, [1.0, 4.0], N_B=120.0)
+        r = evaluate_criteria(table)
+        for i in range(2):
+            fields = ("S_minus", "S_plus", "E_product", "E_EPR_product", "g", "g_prime")
+            assert_matches_oracle(r, table, i, fields, rel=1e-9)
+        assert r.joint.mean_JY_C[0, 0] != pytest.approx(r.joint.mean_JY_D[0, 0], rel=1e-3)
 
     def test_global_phase_covariance(self):
-        coup = preset_couplings("B9p116G", 200.0)
-        r0 = evaluate_criteria(
-            KerrMomentSource(coup, InitialState(N_A=200.0), 2.0).evaluator(), 2.0
-        )
-        r1 = evaluate_criteria(
-            KerrMomentSource(coup, InitialState(N_A=200.0, phase=1.3), 2.0).evaluator(),
-            2.0,
-            theta=r0.theta_opt,
-        )
+        r0 = exact_criteria("B9p116G", 200.0, 2.0)
+        r1 = evaluate_criteria(exact_table("B9p116G", 200.0, 2.0, phase=1.3), theta=r0.theta_opt)
         for f in ("S_minus", "S_plus", "E_product", "E_EPR_product", "duan_sum"):
             assert getattr(r1, f) == pytest.approx(getattr(r0, f), rel=1e-9, abs=1e-9), f
 
     def test_fields_match_across_routes(self):
-        ev = exact_eval("B9p116G", 2000.0, 6.0)
-        ja = joint_moments(ev, theta=0.3, route="decomposition")
-        jb = joint_moments(ev, theta=0.3, route="direct")
-        for f in (
-            "var_minus_theta",
-            "var_plus_theta",
-            "var_minus_perp",
-            "var_plus_perp",
-            "cov_theta",
-            "cov_perp",
-            "var_JC_theta",
-            "var_JC_perp",
-            "var_JD_theta",
-            "var_JD_perp",
-            "mean_JY_C",
-            "mean_JY_D",
-        ):
-            assert getattr(ja, f) == pytest.approx(getattr(jb, f), rel=1e-9, abs=1e-9), f
+        table = exact_table("B9p116G", 2000.0, 6.0)
+        ja = joint_moments(table, theta=0.3)
+        o = oracle.criteria(table[0], theta=0.3)
+        for f in oracle.JOINT_FIELDS:
+            assert getattr(ja, f)[0, 0] == pytest.approx(o[f][0], rel=1e-9, abs=1e-9), f
+
+
+CRITERION_COLUMNS = ("S_minus", "S_plus", "E_product", "E_EPR_product", "duan_sum")
+
+
+def assert_compiled_matches_oracle(r, table, beam_splitter, objective, theta):
+    """Compiled criteria for every tau and ensemble row of `table` against
+    the per-tau oracle.
+
+    The angle is compared to 1e-7: near the optimum the objective is flat,
+    so 1e-15 relative noise in the expectations moves it by ~1e-8.  The
+    other columns are compared at the compiled angle, the criteria to
+    1e-10 relative (absolute floor 1e-12 of the column's largest value)
+    and the gains to 1e-9 relative.  The EPR objective is π/2-periodic by
+    construction (θ and θ + π/2 swap its two factors), and so is the plain
+    product without the splitter for identical wells: there the angle is
+    compared modulo π/2.
+    """
+    period = math.pi if (beam_splitter and objective == "product") else 0.5 * math.pi
+    refs = []
+    for i in range(table.shape[0]):
+        kw = dict(beam_splitter=beam_splitter, objective=objective)
+        free = oracle.criteria(table[i], theta=theta, **kw)
+        d = (free["theta"] - r.theta_opt[i]) % period
+        assert min(d, period - d) <= 1e-7, (i, free["theta"], r.theta_opt[i])
+        refs.append(oracle.criteria(table[i], theta=float(r.theta_opt[i]), **kw))
+    for f in CRITERION_COLUMNS:
+        got = getattr(r, f)
+        want = np.array([o[f] for o in refs])
+        floor = 1e-12 * np.abs(want).max()
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want) + floor), f
+    for f in ("g", "g_prime"):
+        want = np.array([o[f] for o in refs])
+        # without the splitter the gains vanish up to rounding
+        assert np.all(np.abs(getattr(r, f) - want) <= 1e-9 * np.abs(want) + 1e-12), f
+
+
+class TestCompiledAgainstOracle:
+    @pytest.mark.parametrize("theta", [None, 0.25])
+    @pytest.mark.parametrize("objective", ["product", "epr"])
+    @pytest.mark.parametrize("beam_splitter", [True, False])
+    @pytest.mark.parametrize("N", [200.0, 2000.0])
+    def test_exact_sweep(self, N, beam_splitter, objective, theta):
+        table = exact_table("B9p116G", N, np.linspace(0.0, 16.0, 9))
+        r = evaluate_criteria(table, beam_splitter, theta=theta, objective=objective)
+        assert_compiled_matches_oracle(r, table, beam_splitter, objective, theta)
+
+    @pytest.mark.parametrize("beam_splitter", [True, False])
+    def test_chunk_rows(self, beam_splitter):
+        coup = preset_couplings("B9p116G", 200.0, kappa=0.5)
+        params = SimConfig(dtau=1e-3, n_traj=400, seed=5, chunk_size=100)
+        run = run_ensemble(coup, LossRates(gamma12=1e-3), InitialState(N_A=200.0), (0.0, 0.5, 1.0), params)
+        table = run.moment_table()
+        assert table.shape == (3, 5, table.shape[2])
+        r = evaluate_criteria(table, beam_splitter)
+        assert_compiled_matches_oracle(r, table, beam_splitter, "product", None)
+        m = spin_moments(table)
+        s_local = squeezing(m, optimal_angle(m)[:, :1])
+        for i in range(table.shape[0]):
+            want, _ = oracle.local_squeezing(table[i])
+            assert s_local[i] == pytest.approx(want, rel=1e-10)
+
+    def test_local_squeezing_rows(self):
+        table = exact_table("B9p116G", 2000.0, np.linspace(0.0, 16.0, 9))
+        sweep = SweepParams(taus=tuple(np.linspace(0.0, 16.0, 9)))
+        rows = criteria_row(table, sweep)
+        for i, row in enumerate(rows):
+            s_local, _ = oracle.local_squeezing(table[i])
+            assert row.S_local == pytest.approx(s_local[0], rel=1e-10, abs=1e-12)
+
+
+def one(value):
+    """A (1, 1) field: one tau, merged ensemble only."""
+    return np.array([[value]])
 
 
 class TestGains:
     def test_definitional_identity_at_unit_gain(self):
         # E_EPR(1,1) relates to E_product through the denominator swap
-        for tau in (1.0, 4.0):
-            ev = exact_eval("B9p116G", 200.0, tau)
-            r = evaluate_criteria(ev, tau)
-            j = r.joint
-            lhs = e_epr_product(j, GainPair(1.0, 1.0))
-            rhs = (
-                2.0
-                * e_product(j)
-                * (abs(j.mean_JY_C) + abs(j.mean_JY_D))
-                / (2.0 * abs(j.mean_JY_C))
-            )
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+        j = exact_criteria("B9p116G", 200.0, [1.0, 4.0]).joint
+        lhs = e_epr_product(j, GainPair(1.0, 1.0))
+        rhs = (
+            2.0
+            * e_product(j)
+            * (np.abs(j.mean_JY_C) + np.abs(j.mean_JY_D))
+            / (2.0 * np.abs(j.mean_JY_C))
+        )
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_optimal_gains_beat_fixed_gains(self):
-        for tau in np.linspace(0.5, 8.0, 8):
-            ev = exact_eval("B9p116G", 200.0, float(tau))
-            r = evaluate_criteria(ev, tau)
-            j = r.joint
-            best = e_epr_product(j, optimal_gains(j))
-            assert best <= e_epr_product(j, GainPair(1.0, 1.0)) + 1e-12
-            assert best <= e_epr_product(j, GainPair(0.0, 0.0)) + 1e-12
+        j = exact_criteria("B9p116G", 200.0, np.linspace(0.5, 8.0, 8)).joint
+        best = e_epr_product(j, optimal_gains(j))
+        assert np.all(best <= e_epr_product(j, GainPair(1.0, 1.0)) + 1e-12)
+        assert np.all(best <= e_epr_product(j, GainPair(0.0, 0.0)) + 1e-12)
 
     def test_local_perturbation_optimality(self):
         rng = np.random.default_rng(21)
-        for tau in rng.uniform(0.5, 8.0, 6):
-            ev = exact_eval("B9p116G", 200.0, float(tau))
-            j = joint_moments(ev)
-            gains = optimal_gains(j)
-            v1, v2 = inference_variances(j, gains)
-            for eps in (1e-3, -1e-3):
-                w1, _ = inference_variances(j, GainPair(gains.g + eps, gains.g_prime))
-                _, w2 = inference_variances(j, GainPair(gains.g, gains.g_prime + eps))
-                assert v1 <= w1 + 1e-12
-                assert v2 <= w2 + 1e-12
+        j = joint_moments(exact_table("B9p116G", 200.0, rng.uniform(0.5, 8.0, 6)))
+        gains = optimal_gains(j)
+        v1, v2 = inference_variances(j, gains)
+        for eps in (1e-3, -1e-3):
+            w1, _ = inference_variances(j, GainPair(gains.g + eps, gains.g_prime))
+            _, w2 = inference_variances(j, GainPair(gains.g, gains.g_prime + eps))
+            assert np.all(v1 <= w1 + 1e-12)
+            assert np.all(v2 <= w2 + 1e-12)
 
     def test_zero_covariance_gives_zero_gain(self):
-        r = evaluate_criteria(exact_eval("B9p116G", 200.0, 0.0), 0.0)
-        assert r.g == pytest.approx(0.0, abs=1e-12)
+        r = exact_criteria("B9p116G", 200.0, 0.0)
+        assert r.g[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_perfect_correlation_gives_unit_gain(self):
-        from twinwell.criteria import JointSpinMoments
-
         j = JointSpinMoments(
-            theta=0.0,
-            delta_theta=math.pi / 2,
-            mean_JY_C=50.0,
-            mean_JY_D=50.0,
-            var_minus_theta=0.0,
-            var_plus_theta=4.0,
-            var_minus_perp=4.0,
-            var_plus_perp=0.0,
-            cov_theta=1.0,
-            cov_perp=-1.0,
-            var_JC_theta=1.0,
-            var_JC_perp=1.0,
-            var_JD_theta=1.0,
-            var_JD_perp=1.0,
+            theta=np.zeros(1),
+            delta_theta=np.full(1, math.pi / 2),
+            mean_JY_C=one(50.0),
+            mean_JY_D=one(50.0),
+            var_minus_theta=one(0.0),
+            var_plus_theta=one(4.0),
+            var_minus_perp=one(4.0),
+            var_plus_perp=one(0.0),
+            cov_theta=one(1.0),
+            cov_perp=one(-1.0),
+            var_JC_theta=one(1.0),
+            var_JC_perp=one(1.0),
+            var_JD_theta=one(1.0),
+            var_JD_perp=one(1.0),
         )
         gains = optimal_gains(j)
-        assert gains.g == pytest.approx(1.0)
-        assert gains.g_prime == pytest.approx(1.0)
+        assert gains.g[0] == pytest.approx(1.0)
+        assert gains.g_prime[0] == pytest.approx(1.0)
 
     def test_degenerate_variance_raises(self):
-        from twinwell.criteria import JointSpinMoments
-
         j = JointSpinMoments(
-            theta=0.0,
-            delta_theta=math.pi / 2,
-            mean_JY_C=0.0,
-            mean_JY_D=0.0,
-            var_minus_theta=1.0,
-            var_plus_theta=1.0,
-            var_minus_perp=1.0,
-            var_plus_perp=1.0,
-            cov_theta=0.0,
-            cov_perp=0.0,
-            var_JC_theta=1.0,
-            var_JC_perp=1.0,
-            var_JD_theta=0.0,
-            var_JD_perp=0.0,
+            theta=np.zeros(1),
+            delta_theta=np.full(1, math.pi / 2),
+            mean_JY_C=one(0.0),
+            mean_JY_D=one(0.0),
+            var_minus_theta=one(1.0),
+            var_plus_theta=one(1.0),
+            var_minus_perp=one(1.0),
+            var_plus_perp=one(1.0),
+            cov_theta=one(0.0),
+            cov_perp=one(0.0),
+            var_JC_theta=one(1.0),
+            var_JC_perp=one(1.0),
+            var_JD_theta=one(0.0),
+            var_JD_perp=one(0.0),
         )
         with pytest.raises(DegenerateReferenceError):
             optimal_gains(j)
@@ -194,52 +251,40 @@ class TestDuanSum:
         # sites A and B stay in a product state without the splitter, so
         # the sum criterion must never signal entanglement there
         rng = np.random.default_rng(17)
-        for tau in rng.uniform(0.0, 10.0, 8):
-            r = evaluate_criteria(
-                exact_eval("B9p116G", 200.0, float(tau)), tau, beam_splitter=False
-            )
-            assert r.duan_sum >= -1e-9
+        r = exact_criteria("B9p116G", 200.0, rng.uniform(0.0, 10.0, 8), beam_splitter=False)
+        assert np.all(r.duan_sum >= -1e-9)
 
     def test_violated_after_splitter_at_strong_squeezing(self):
-        ev = exact_eval("B9p116G", 2000.0, 9.3)  # near the product-criterion optimum
-        r = evaluate_criteria(ev, 9.3)
-        assert r.duan_sum < 0.0
+        r = exact_criteria("B9p116G", 2000.0, 9.3)  # near the product-criterion optimum
+        assert r.duan_sum[0, 0] < 0.0
 
     def test_consistency_with_s_parameters(self):
-        ev = exact_eval("B9p116G", 200.0, 3.0)
-        r = evaluate_criteria(ev, 3.0)
-        n0 = 0.5 * (abs(r.joint.mean_JY_C) + abs(r.joint.mean_JY_D))
-        assert r.duan_sum == pytest.approx(n0 * (r.S_minus + r.S_plus - 2.0), rel=1e-10)
+        r = exact_criteria("B9p116G", 200.0, 3.0)
+        n0 = 0.5 * (abs(r.joint.mean_JY_C[0, 0]) + abs(r.joint.mean_JY_D[0, 0]))
+        want = n0 * (r.S_minus[0, 0] + r.S_plus[0, 0] - 2.0)
+        assert r.duan_sum[0, 0] == pytest.approx(want, rel=1e-10)
 
 
 class TestTrends:
     def test_both_inference_variances_dip_below_shot_noise(self):
         # the hallmark of the two-step scheme: S- and S+ squeezed together
-        found = False
-        for tau in np.linspace(0.5, 5.0, 10):
-            r = evaluate_criteria(exact_eval("B9p116G", 200.0, float(tau)), tau)
-            if r.S_minus < 1.0 and r.S_plus < 1.0:
-                found = True
-                break
-        assert found
+        r = exact_criteria("B9p116G", 200.0, np.linspace(0.5, 5.0, 10))
+        assert np.any((r.S_minus < 1.0) & (r.S_plus < 1.0))
 
     def test_entanglement_improves_with_atom_number(self):
         mins = {}
         for N, hi in ((200.0, 12.0), (2000.0, 14.0)):
-            best = math.inf
-            for tau in np.linspace(0.5, hi, 28):
-                r = evaluate_criteria(exact_eval("B9p116G", N, float(tau)), tau)
-                best = min(best, r.E_EPR_product)
-            mins[N] = best
+            r = exact_criteria("B9p116G", N, np.linspace(0.5, hi, 28))
+            mins[N] = r.E_EPR_product.min()
         assert mins[2000.0] < mins[200.0]
 
     def test_epr_product_threshold_at_high_n(self):
-        r = evaluate_criteria(exact_eval("B9p116G", 2000.0, 9.3), 9.3)
-        assert r.E_product < 0.5
+        r = exact_criteria("B9p116G", 2000.0, 9.3)
+        assert r.E_product[0, 0] < 0.5
 
     def test_fixed_theta_mode(self):
-        ev = exact_eval("B9p116G", 200.0, 3.0)
-        r = evaluate_criteria(ev, 3.0, theta=0.25)
-        assert r.theta_opt == 0.25
-        r_opt = evaluate_criteria(ev, 3.0)
-        assert r_opt.E_product <= r.E_product + 1e-12
+        table = exact_table("B9p116G", 200.0, 3.0)
+        r = evaluate_criteria(table, theta=0.25)
+        assert r.theta_opt[0] == 0.25
+        r_opt = evaluate_criteria(table)
+        assert r_opt.E_product[0, 0] <= r.E_product[0, 0] + 1e-12

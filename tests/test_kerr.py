@@ -7,15 +7,15 @@ import pytest
 from twinwell.config import InitialState, preset_couplings
 from twinwell.errors import TruncationError
 from twinwell.kerr import (
-    KerrMomentSource,
     fock_oracle_moment,
     fock_site_moment,
     kerr_moment,
+    moment_table,
     single_mode_expectation,
     site_moment,
     two_mode_first_moment,
 )
-from twinwell.operators import ModeMonomial
+from twinwell.operators import BASIS_INDEX, ModeMonomial
 
 RATIOS = preset_couplings("B9p116G", 1.0)  # g11 = 1, ratio-scaled couplings
 
@@ -99,11 +99,12 @@ class TestKerrMoment:
     def test_all_low_order_monomials_match_oracle(self):
         init = InitialState(N_A=16.0, N_B=16.0)  # |alpha|^2 = 8 per mode
         rng = np.random.default_rng(42)
-        for tau in rng.uniform(0.0, 0.2, 3):
-            src = KerrMomentSource(RATIOS, init, tau)
+        taus = rng.uniform(0.0, 0.2, 3)
+        table = moment_table(RATIOS, init, taus)
+        for tau, row in zip(taus, table[:, 0]):
             for m in all_site_monomials():
                 key = ModeMonomial.site_a(*m).key
-                a = src(key)
+                a = row[BASIS_INDEX[key]]
                 b = fock_oracle_moment(key, RATIOS, tau, init, cutoff=50)
                 assert abs(a - b) / (abs(b) + 1e-12) < 1e-8
 
@@ -121,10 +122,9 @@ class TestKerrMoment:
                 g22=float(rng.uniform(0.0, 2.0)),
             )
             tau = float(rng.uniform(0.0, 0.3))
-            src = KerrMomentSource(coup, init, tau)
             for m in (mons[i] for i in rng.integers(0, len(mons), 12)):
                 key = ModeMonomial.site_a(*m).key
-                a = src(key)
+                a = kerr_moment(key, coup, tau, init)
                 b = fock_oracle_moment(key, coup, tau, init, cutoff=45)
                 assert abs(a - b) / (abs(b) + 1e-12) < 1e-8
 
@@ -158,6 +158,17 @@ class TestKerrMoment:
         vb = kerr_moment(ModeMonomial.site_b(*b_part), RATIOS, tau, init)
         vc = kerr_moment(cross, RATIOS, tau, init)
         assert vc == pytest.approx(va * vb, rel=1e-12)
+
+    def test_table_matches_per_monomial_moments(self):
+        # the vectorised table against per-key, per-tau evaluation, both wells
+        init = InitialState(N_A=8.0, N_B=18.0, phase=0.4)
+        taus = (0.0, 0.13, 2.5)
+        table = moment_table(RATIOS, init, taus)
+        assert table.shape == (3, 1, len(BASIS_INDEX))
+        for key, i in BASIS_INDEX.items():
+            for t, tau in enumerate(taus):
+                want = kerr_moment(key, RATIOS, tau, init)
+                assert table[t, 0, i] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 class TestFockOracle:

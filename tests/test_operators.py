@@ -12,6 +12,7 @@ from twinwell.operators import (
     annihilation,
     beam_splitter,
     bilinear,
+    component2_charge,
     creation,
     number_operator,
     raising_bilinear,
@@ -154,6 +155,19 @@ class TestSpinOperators:
             lhs_x = jcx - g * jdx
             rhs_x = gm * (jax_ + jbx) + gp * _kx_poly(complex(pf))
             assert poly_close(lhs_x, rhs_x)
+
+    def test_phase_factor_enters_as_charge_power(self):
+        # operators built at pf equal those built at pf = 1 with every
+        # monomial scaled by pf^Q, Q its component-2 charge
+        pf = np.exp(0.61j)
+        for site in (SITE_A, SITE_C):
+            jx, jy, jz = spin_operators(site, pf)
+            jx1, jy1, jz1 = spin_operators(site)
+            for got, unit in ((jx, jx1), (jx * jz, jx1 * jz1), (jy * jx, jy1 * jx1)):
+                dressed = NormalPoly(
+                    {k: c * pf ** component2_charge(k) for k, c in unit.terms.items()}
+                )
+                assert poly_close(got, dressed, tol=1e-13)
 
     def test_raising_bilinear_order(self):
         assert raising_bilinear(SITE_A).terms == {(0, 1, 0, 0, 1, 0, 0, 0): 1.0 + 0j}

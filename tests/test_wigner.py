@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from twinwell.config import InitialState, LossRates, PhysicalCouplings, SimConfig, preset_couplings
+from twinwell import wigner
 from twinwell.criteria import evaluate_criteria
 from twinwell.errors import ConfigError, DivergenceError
-from twinwell.kerr import KerrMomentSource
+from twinwell.kerr import kerr_moment, moment_table
 from twinwell.operators import ModeMonomial
 from twinwell.wigner import (
     BASIS_INDEX,
@@ -178,7 +179,6 @@ class TestEnsemble:
         for a, b in zip(r1.accumulators, r2.accumulators):
             for c in a.chunks:
                 assert np.array_equal(a.chunks[c].sums, b.chunks[c].sums)
-                assert np.array_equal(a.chunks[c].sumsq, b.chunks[c].sumsq)
 
     def test_half_ensembles_merge_to_full(self):
         full = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS)
@@ -256,7 +256,7 @@ class TestMomentConversion:
         z = sample_initial(vac, rng, 20_000)
         acc = MomentAccumulator()
         cols = monomial_columns(z)
-        acc.add_chunk(0, z.shape[0], cols.sum(axis=0), (np.abs(cols) ** 2).sum(axis=0))
+        acc.add_chunk(0, z.shape[0], cols.sum(axis=0))
         table = symmetric_to_normal(acc)
         n1 = table[ModeMonomial.site_a(1, 0, 1, 0).key]
         se = 0.5 / math.sqrt(z.shape[0])
@@ -269,32 +269,44 @@ class TestMomentConversion:
         z = sample_initial(init, rng, n)
         acc = MomentAccumulator()
         cols = monomial_columns(z)
-        acc.add_chunk(0, n, cols.sum(axis=0), (np.abs(cols) ** 2).sum(axis=0))
+        acc.add_chunk(0, n, cols.sum(axis=0))
         table = symmetric_to_normal(acc)
         n1 = table[ModeMonomial.site_a(1, 0, 1, 0).key].real
         n1n1 = table[ModeMonomial.site_a(2, 0, 2, 0).key].real
         assert n1 == pytest.approx(100.0, abs=5 * 10.0 / math.sqrt(n) + 0.01)
         assert n1n1 == pytest.approx(10_000.0, rel=0.002)
 
-    def test_converted_moments_match_exact_dynamics(self):
+    def test_converted_moments_match_exact_dynamics(self, monkeypatch):
+        # sums of |monomial|^2 per output time, from the recorded columns
+        sumsq = []
+        record = wigner.monomial_columns
+
+        def spy(z, out=None):
+            cols = record(z, out)
+            sumsq.append((cols.real * cols.real + cols.imag * cols.imag).sum(axis=0))
+            return cols
+
+        monkeypatch.setattr(wigner, "monomial_columns", spy)
         taus = (0.0, 1.0, 2.0)
         params = SimConfig(dtau=1e-3, n_traj=2000, seed=31, chunk_size=500)
         run = run_ensemble(COUP, LOSSLESS, INIT, taus, params)
+        n_chunks = params.n_traj // params.chunk_size
+        table = run.moment_table()
         for i, tau in enumerate(taus):
-            src = run.source(i)
-            exact = KerrMomentSource(COUP, INIT, tau)
+            acc = run.accumulators[i]
+            sq = np.sum(sumsq[i * n_chunks : (i + 1) * n_chunks], axis=0)
+            n = acc.count
+            # per-monomial standard error of the mean (|.|-sense), a crude bound
+            stderr = np.sqrt(np.maximum(sq / n - np.abs(acc.mean()) ** 2, 0.0) / (n - 1))
             for key in (
                 ModeMonomial.site_a(1, 0, 1, 0).key,
                 ModeMonomial.site_a(0, 1, 1, 0).key,
                 ModeMonomial.site_a(1, 1, 1, 1).key,
                 ModeMonomial.cross((0, 1, 1, 0), (1, 0, 0, 1)).key,
             ):
-                got = src(key)
-                want = exact(key)
-                acc = run.accumulators[i]
-                se = float(
-                    (CAHILL @ acc.moment_stderr())[BASIS_INDEX[key]]
-                )  # crude bound
+                got = table[i, 0, BASIS_INDEX[key]]
+                want = kerr_moment(key, COUP, tau, INIT)
+                se = float((CAHILL @ stderr)[BASIS_INDEX[key]])
                 tol = 5 * max(abs(se), 1e-3 * abs(want) + 1e-3)
                 assert abs(got - want) < tol, (key, tau, got, want, tol)
 
@@ -327,28 +339,26 @@ class TestPhysics:
         half = SimConfig(dtau=1e-3, n_traj=2000, seed=47, chunk_size=500)
         ra = run_ensemble(COUP, LOSSLESS, INIT, taus, base)
         rb = run_ensemble(COUP, LOSSLESS, INIT, taus, half)
-        ea = evaluate_criteria(ra.source(1), 1.0)
-        eb = evaluate_criteria(rb.source(1), 1.0, theta=ea.theta_opt)
-        arr = np.asarray(ea.E_product)
+        ea = evaluate_criteria(ra.moment_table()[1:])
+        eb = evaluate_criteria(rb.moment_table()[1:], theta=ea.theta_opt)
+        arr = ea.E_product[0]
         se = arr[1:].std(ddof=1) / math.sqrt(arr.size - 1)
         # identical initial ensembles, no noise: difference is pure
         # integrator error and must sit far below the Monte-Carlo error
-        diff = abs(float(arr[0]) - float(np.asarray(eb.E_product)[0]))
+        diff = abs(arr[0] - eb.E_product[0, 0])
         assert diff < 0.3 * se
 
     def test_wigner_matches_exact_criteria(self):
         taus = tuple(np.linspace(0.0, 3.0, 4))
         params = SimConfig(dtau=1e-3, n_traj=4000, seed=53, chunk_size=500)
         run = run_ensemble(COUP, LOSSLESS, INIT, taus, params)
-        for i, tau in enumerate(taus):
-            rw = evaluate_criteria(run.source(i), tau)
-            ex = KerrMomentSource(COUP, INIT, tau).evaluator()
-            re_ = evaluate_criteria(ex, tau, theta=rw.theta_opt)
-            for field in ("E_product", "S_minus", "S_plus", "E_EPR_product", "duan_sum"):
-                arr = np.asarray(getattr(rw, field))
-                se = arr[1:].std(ddof=1) / math.sqrt(arr.size - 1)
-                want = getattr(re_, field)
-                assert abs(float(arr[0]) - want) < 5 * se + 1e-9, (field, tau)
+        rw = evaluate_criteria(run.moment_table())
+        re_ = evaluate_criteria(moment_table(COUP, INIT, taus), theta=rw.theta_opt)
+        for field in ("E_product", "S_minus", "S_plus", "E_EPR_product", "duan_sum"):
+            arr = getattr(rw, field)
+            se = arr[:, 1:].std(ddof=1, axis=1) / math.sqrt(arr.shape[1] - 1)
+            dev = np.abs(arr[:, 0] - getattr(re_, field)[:, 0])
+            assert np.all(dev < 5 * se + 1e-9), (field, dev, se)
 
     def test_zero_time_baselines_statistical(self):
         # sampled squeezing at tau = 0 sits at unity within sampling error
@@ -358,34 +368,34 @@ class TestPhysics:
 
         params = SimConfig(dtau=1e-3, n_traj=10_000, seed=71, chunk_size=500)
         run = run_ensemble(COUP, LOSSLESS, INIT, (0.0,), params)
-        src = run.source(0)
-        m = spin_moments(src)
-        s = np.asarray(squeezing(m, 0.0))
+        table = run.moment_table()
+        m = spin_moments(table)
+        s = squeezing(m, 0.0)[0]
         se = s[1:].std(ddof=1) / math.sqrt(s.size - 1)
-        assert abs(float(s[0]) - 1.0) < 5 * se
-        r = evaluate_criteria(src, 0.0, theta=0.0)
+        assert abs(s[0] - 1.0) < 5 * se
+        r = evaluate_criteria(table, theta=0.0)
         for field in ("S_minus", "S_plus", "E_product"):
-            arr = np.asarray(getattr(r, field))
+            arr = getattr(r, field)[0]
             se = arr[1:].std(ddof=1) / math.sqrt(arr.size - 1)
-            assert abs(float(arr[0]) - 1.0) < 5 * se, field
+            assert abs(arr[0] - 1.0) < 5 * se, field
 
     def test_symmetric_sites_have_equal_mean_spins(self):
         params = SimConfig(dtau=1e-3, n_traj=2000, seed=73, chunk_size=500)
         run = run_ensemble(COUP, LOSSLESS, INIT, (0.0, 1.5), params)
         from twinwell.criteria import joint_moments
 
-        j = joint_moments(run.source(1), theta=0.1).merged()
+        j = joint_moments(run.moment_table(), theta=0.1)
         # identical wells: the two transverse means agree within noise
-        assert j.mean_JY_C == pytest.approx(j.mean_JY_D, rel=0.02)
+        assert j.mean_JY_C[1, 0] == pytest.approx(j.mean_JY_D[1, 0], rel=0.02)
 
     def test_tunneling_entangles_without_splitter(self):
         coup = preset_couplings("B9p116G", 200.0, kappa=1.0)
         params = SimConfig(dtau=1e-3, n_traj=2000, seed=59, chunk_size=500)
         run = run_ensemble(coup, LOSSLESS, INIT, (0.0, 2.0), params)
-        r = evaluate_criteria(run.source(1), 2.0, beam_splitter=False)
-        arr = np.asarray(r.E_product)
+        r = evaluate_criteria(run.moment_table(), beam_splitter=False)
+        arr = r.E_product[1]
         se = arr[1:].std(ddof=1) / math.sqrt(arr.size - 1)
-        assert float(arr[0]) < 1.0 - 3 * se
+        assert arr[0] < 1.0 - 3 * se
 
     def test_splitter_helps_most_when_tunneling_is_weak(self):
         # one ensemble per tunneling rate, criteria evaluated both ways
@@ -394,14 +404,11 @@ class TestPhysics:
 
         def minima(kappa):
             coup = preset_couplings("B9p116G", 200.0, kappa=kappa)
-            run = run_ensemble(coup, LOSSLESS, INIT, taus, params)
-            best = {True: math.inf, False: math.inf}
-            for i, tau in enumerate(taus):
-                src = run.source(i)
-                for bs in (True, False):
-                    r = evaluate_criteria(src, tau, beam_splitter=bs)
-                    best[bs] = min(best[bs], float(np.asarray(r.E_product)[0]))
-            return best
+            table = run_ensemble(coup, LOSSLESS, INIT, taus, params).moment_table()
+            return {
+                bs: evaluate_criteria(table, beam_splitter=bs).E_product[:, 0].min()
+                for bs in (True, False)
+            }
 
         weak = minima(0.01)
         strong = minima(1.0)
