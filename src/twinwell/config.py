@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
 
@@ -177,18 +177,23 @@ _WIGNER_KEYS = {"dtau", "n_traj", "seed", "stepper", "chunk_size", "linear_loss_
 
 
 def _num(sec, key, doc, default, errs, kind=float, minimum=None, strict=False):
-    v = doc.get(key, default)
-    if v is None:
+    raw = doc.get(key, default)
+    if raw is None:
         return None
     try:
-        v = kind(v)
+        if isinstance(raw, bool):  # json true/false, which kind() reads as 1/0
+            raise TypeError(raw)
+        v = kind(raw)
     except (TypeError, ValueError):
-        errs.append(f"{sec}.{key}: expected a number, got {v!r}")
+        errs.append(f"{sec}.{key}: expected a number, got {raw!r}")
         return default
     except OverflowError:  # int() of ±Infinity
         v = math.inf
     if not math.isfinite(v):
-        errs.append(f"{sec}.{key}: must be finite, got {v!r}")
+        errs.append(f"{sec}.{key}: must be finite, got {raw!r}")
+        return default
+    if isinstance(raw, float) and v != raw:  # int() dropped a fraction
+        errs.append(f"{sec}.{key}: expected an integer, got {raw!r}")
         return default
     if minimum is not None and (v < minimum or (strict and v == minimum)):
         op = ">" if strict else ">="
@@ -321,30 +326,16 @@ def validate_config(doc: dict | None = None) -> RunConfig:
             stacklevel=2,
         )
 
-    document = {
-        "initial": {"N_A": initial.N_A, "N_B": initial.N_B, "phase": initial.phase},
-        "losses": {"gamma1": gamma1, "gamma12": gamma12, "gamma22": gamma22},
-        "sweep": {
-            "tau_grid": list(taus),
-            "fixed_theta": fixed_theta,
-            "theta_objective": objective,
-        },
-        "wigner": {
-            "dtau": dtau,
-            "n_traj": n_traj,
-            "seed": seed,
-            "stepper": stepper,
-            "chunk_size": chunk,
-            "linear_loss_mode": loss_mode,
-        },
-        "couplings": {
-            "g11": couplings.g11,
-            "g12": couplings.g12,
-            "g22": couplings.g22,
-            "kappa1": couplings.kappa1,
-            "kappa2": couplings.kappa2,
-        },
+    sections = {
+        "initial": initial,
+        "losses": losses,
+        "sweep": sweep,
+        "wigner": wigner,
+        "couplings": couplings,
     }
+    document = {name: asdict(value) for name, value in sections.items()}
+    # the config-file key, so the hash of an unchanged file stays put
+    document["sweep"]["tau_grid"] = list(document["sweep"].pop("taus"))
     return RunConfig(couplings, losses, initial, sweep, wigner, document)
 
 

@@ -207,7 +207,10 @@ def optimal_theta(V, mode: str, objective: str = "product", n_scan: int = 720) -
     Dense scan over (-pi/2, pi/2), then golden-section refinement of each
     winning bracket (the objective is smooth and pi-periodic).  All
     brackets are refined together; each stops once narrower than
-    GOLDEN_TOL.
+    GOLDEN_TOL.  The angle is returned in (-pi/2, pi/2].  The "epr"
+    objective is exactly pi/2-periodic (θ and θ + π/2 swap its two
+    factors), so its two equal minima are told apart by rounding alone;
+    its angle is folded into (-pi/4, pi/4] to pick one of them.
     """
     f = lambda x: _objective(mode, V, x, objective)
     grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_scan, endpoint=False)
@@ -241,10 +244,11 @@ def optimal_theta(V, mode: str, objective: str = "product", n_scan: int = 720) -
         )
         active &= b - a >= GOLDEN_TOL
     theta = 0.5 * (a + b)
+    half = 0.25 * math.pi if objective == "epr" else 0.5 * math.pi
     return np.where(
-        theta <= -0.5 * math.pi,
-        theta + math.pi,
-        np.where(theta > 0.5 * math.pi, theta - math.pi, theta),
+        theta <= -half,
+        theta + 2.0 * half,
+        np.where(theta > half, theta - 2.0 * half, theta),
     )
 
 

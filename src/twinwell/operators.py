@@ -69,22 +69,12 @@ class ModeMonomial:
     def site_b(cls, p1: int, p2: int, q1: int, q2: int) -> "ModeMonomial":
         return cls((0, 0, p1, p2, 0, 0, q1, q2))
 
-    @classmethod
-    def cross(cls, a_part, b_part) -> "ModeMonomial":
-        pa1, pa2, qa1, qa2 = a_part
-        pb1, pb2, qb1, qb2 = b_part
-        return cls((pa1, pa2, pb1, pb2, qa1, qa2, qb1, qb2))
-
     @property
     def order(self) -> int:
         return sum(self.key)
 
     def dagger(self) -> "ModeMonomial":
         return ModeMonomial(key_dagger(self.key))
-
-    def site_parts(self):
-        k = self.key
-        return (k[0], k[1], k[4], k[5]), (k[2], k[3], k[6], k[7])
 
 
 class NormalPoly:
@@ -98,9 +88,6 @@ class NormalPoly:
     @classmethod
     def constant(cls, c) -> "NormalPoly":
         return cls({(0,) * 8: complex(c)})
-
-    def copy(self) -> "NormalPoly":
-        return NormalPoly(self.terms)
 
     def __add__(self, other):
         out = dict(self.terms)

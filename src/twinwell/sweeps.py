@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,26 +30,6 @@ from .errors import ConfigError
 from .kerr import moment_table
 from .spins import optimal_angle, spin_moments, squeezing
 from .wigner import run_ensemble
-
-CSV_COLUMNS = (
-    "tau",
-    "theta_opt",
-    "delta_theta",
-    "S_local",
-    "S_minus",
-    "S_plus",
-    "E_product",
-    "E_EPR_product",
-    "g",
-    "g_prime",
-    "duan_sum",
-    "se_S_local",
-    "se_S_minus",
-    "se_S_plus",
-    "se_E_product",
-    "se_E_EPR_product",
-    "se_duan_sum",
-)
 
 
 @dataclass
@@ -71,6 +51,9 @@ class SweepRow:
     se_E_product: float | None = None
     se_E_EPR_product: float | None = None
     se_duan_sum: float | None = None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def _se(x: np.ndarray) -> list:
@@ -161,30 +144,6 @@ def dynamic_sweep(cfg: RunConfig, beam_splitter: bool = False) -> list[SweepRow]
 def _wigner_rows(cfg: RunConfig, beam_splitter: bool) -> list[SweepRow]:
     run = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, cfg.sweep.taus, cfg.wigner)
     return criteria_row(run.moment_table(), cfg.sweep, beam_splitter=beam_splitter)
-
-
-def min_over_tau(taus, values, reevaluate=None):
-    """Grid minimum with local parabolic refinement.
-
-    `reevaluate(tau)` recomputes the objective exactly at the parabola
-    vertex (used by the exact engine); stochastic curves keep the grid
-    value.  Returns (tau_min, value_min).
-    """
-    taus = np.asarray(taus, dtype=float)
-    values = np.asarray(values, dtype=float)
-    i = int(np.argmin(values))
-    best = (float(taus[i]), float(values[i]))
-    if 0 < i < len(taus) - 1:
-        t0, t1, t2 = taus[i - 1 : i + 2]
-        v0, v1, v2 = values[i - 1 : i + 2]
-        denom = (t1 - t0) * (v1 - v2) - (t1 - t2) * (v1 - v0)
-        if denom != 0.0:
-            tv = t1 - 0.5 * ((t1 - t0) ** 2 * (v1 - v2) - (t1 - t2) ** 2 * (v1 - v0)) / denom
-            if t0 < tv < t2 and reevaluate is not None:
-                vv = float(reevaluate(float(tv)))
-                if vv < best[1]:
-                    best = (float(tv), vv)
-    return best
 
 
 def _fmt(v) -> str:

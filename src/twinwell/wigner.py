@@ -8,15 +8,16 @@ integrated through
 
 with the drift and diffusion of the dimensionless master equation.  The
 complex Wiener increments satisfy <dZ* dZ> = dτ, <dZ dZ> = 0.  Raw path
-averages estimate symmetric-ordered moments; `symmetric_to_normal`
-converts them to normal order per mode via the s-ordering expansion
+averages estimate symmetric-ordered moments; `CAHILL` converts them to
+normal order per mode via the s-ordering expansion
 
     a†^p a^q = sum_k k! C(p,k) C(q,k) (-1/2)^k {a†^(p-k) a^(q-k)}_sym.
 
 Trajectories are organized in fixed-size chunks.  Chunk c draws from its
 own Philox stream keyed by (seed, chunk_offset + c), so results are
-bit-reproducible, independent of scheduling, and half-ensembles merge
-exactly into full ones.
+bit-reproducible and independent of scheduling.  A run keeps one sum of
+monomials per chunk and output time; the chunk sums of half-ensembles
+concatenate into exactly those of the full ensemble.
 
 Linear-loss placement is configurable (`linear_loss_mode`):
 
@@ -98,76 +99,22 @@ def monomial_columns(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-# ---------------------------------------------------------------------------
-# accumulator
-
-
-@dataclass
-class ChunkStats:
-    count: int
-    sums: np.ndarray  # (NBASIS,) complex
-
-
-class MomentAccumulator:
-    """Mergeable per-chunk sums of phase-space monomials up to order 4.
-
-    Merging is exact: chunks keep their identity, and reductions always
-    run in chunk-id order, so any grouping of sub-ensembles yields
-    bit-identical results.
-    """
-
-    def __init__(self, chunks: dict[int, ChunkStats] | None = None):
-        self.chunks: dict[int, ChunkStats] = dict(chunks) if chunks else {}
-
-    def add_chunk(self, chunk_id: int, count: int, sums) -> None:
-        if chunk_id in self.chunks:
-            raise ValueError(f"duplicate chunk id {chunk_id}")
-        self.chunks[chunk_id] = ChunkStats(int(count), sums)
-
-    def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        overlap = self.chunks.keys() & other.chunks.keys()
-        if overlap:
-            raise ValueError(f"cannot merge accumulators sharing chunks {sorted(overlap)}")
-        out = dict(self.chunks)
-        out.update(other.chunks)
-        return MomentAccumulator(out)
-
-    @property
-    def count(self) -> int:
-        return sum(c.count for c in self.chunks.values())
-
-    def _ordered(self):
-        return [self.chunks[k] for k in sorted(self.chunks)]
-
-    def mean(self) -> np.ndarray:
-        """(NBASIS,) symmetric-ordered moment estimates over all chunks."""
-        stacked = np.vstack([c.sums for c in self._ordered()])
-        return stacked.sum(axis=0) / self.count
-
-    def chunk_means(self) -> np.ndarray:
-        """(n_chunks, NBASIS), chunk-id order."""
-        return np.vstack([c.sums / c.count for c in self._ordered()])
-
-
-def symmetric_to_normal(acc: MomentAccumulator) -> dict:
-    """Normal-ordered moment table from a symmetric-ordered accumulator."""
-    normal = CAHILL @ acc.mean()
-    return dict(zip(BASIS_KEYS, normal))
-
-
 class WignerMomentSource:
     """Normal-ordered moment table of a run.
 
+    `sums` (n_tau, n_chunks, NBASIS) holds each chunk's sums of the
+    symmetric-ordered monomials, `chunk_size` trajectories per chunk.
     `table[i]` holds, at output time i, the merged-ensemble moments in
-    row 0 and each chunk's moments (chunk-id order, for standard errors)
-    in the rows after it: shape (n_tau, 1 + n_chunks, NBASIS).
+    row 0 and each chunk's moments (in `sums` order, for standard
+    errors) in the rows after it: shape (n_tau, 1 + n_chunks, NBASIS).
     """
 
-    def __init__(self, accumulators):
-        n_ens = 1 + len(accumulators[0].chunks)
-        self.table = np.empty((len(accumulators), n_ens, NBASIS), dtype=complex)
-        for out, acc in zip(self.table, accumulators):
-            weyl = np.vstack([acc.mean(), acc.chunk_means()])
+    def __init__(self, sums: np.ndarray, chunk_size: int):
+        n_tau, n_chunks, _ = sums.shape
+        n_ens = 1 + n_chunks
+        self.table = np.empty((n_tau, n_ens, NBASIS), dtype=complex)
+        for out, s in zip(self.table, sums):
+            weyl = np.vstack([s.sum(axis=0) / (n_chunks * chunk_size), s / chunk_size])
             # CAHILL is real: convert the real and imaginary parts in one product
             normal = np.vstack([weyl.real, weyl.imag]) @ CAHILL.T
             out.real = normal[:n_ens]
@@ -224,37 +171,16 @@ def drift(
     return out
 
 
-def diffusion(
-    z: np.ndarray, losses: LossRates, linear_loss_mode: str = "printed"
-) -> np.ndarray:
-    """Noise matrix B with shape (..., 4, 4 + n_linear_columns).
-
-    Columns 1-4 are the two-body loss channels (inter-species at wells
-    A, B; intra-species at wells A, B); the remaining columns carry the
-    linear loss, one per lossy mode.  In "printed" mode this is the 4x6
-    layout of the source derivation, row for row.
-    """
-    cols = _linear_loss_cols(linear_loss_mode)
-    b = np.zeros(z.shape[:-1] + (4, 4 + len(cols)), dtype=complex)
-    s12 = math.sqrt(losses.gamma12)
-    s22 = math.sqrt(losses.gamma22)
-    s1 = math.sqrt(losses.gamma1)
-    a1, b1_, a2, b2_ = z[..., 0], z[..., 1], z[..., 2], z[..., 3]
-    b[..., 0, 0] = s12 * a2
-    b[..., 1, 1] = s12 * b2_
-    b[..., 2, 0] = s12 * a1
-    b[..., 2, 2] = s22 * a2
-    b[..., 3, 1] = s12 * b1_
-    b[..., 3, 3] = s22 * b2_
-    for j, col in enumerate(cols):
-        b[..., col, 4 + j] = s1
-    return b
-
-
 def _noise_term(
     z: np.ndarray, losses: LossRates, dz_noise: np.ndarray, linear_loss_mode: str
 ) -> np.ndarray:
-    """B(z) @ dZ without materializing B (hot path of the steppers)."""
+    """B(z) @ dZ for the noise matrix B of the loss channels.
+
+    Columns 1-4 of B are the two-body loss channels (inter-species at
+    wells A, B; intra-species at wells A, B); the remaining columns
+    carry the linear loss, one per lossy mode.  In "printed" mode B is
+    the 4x6 layout of the source derivation, row for row.
+    """
     out = np.zeros_like(z)
     if losses.gamma12:
         s12 = math.sqrt(losses.gamma12)
@@ -327,16 +253,16 @@ def sample_initial(initial: InitialState, rng: np.random.Generator, n: int) -> n
 
 @dataclass
 class WignerRun:
-    """Output of `run_ensemble`: one accumulator per requested time."""
+    """Output of `run_ensemble`: per-chunk monomial sums at every requested
+    time, shape (n_tau, n_chunks, NBASIS), chunks in stream order."""
 
     taus: tuple
-    accumulators: list
-    n_traj: int
-    params: SimConfig
+    sums: np.ndarray
+    chunk_size: int
 
     def moment_table(self) -> np.ndarray:
         """(n_tau, 1 + n_chunks, NBASIS) normal-ordered moments."""
-        return WignerMomentSource(self.accumulators).table
+        return WignerMomentSource(self.sums, self.chunk_size).table
 
 
 def _chunk_rng(seed: int, chunk_id: int) -> np.random.Generator:
@@ -353,12 +279,14 @@ def run_ensemble(
     n_traj: int | None = None,
     chunk_offset: int = 0,
 ) -> WignerRun:
-    """Integrate an ensemble and accumulate moments at every requested tau.
+    """Integrate an ensemble and sum its monomials per chunk at every
+    requested tau.
 
     Deterministic: chunk c consumes only the stream keyed (seed,
     chunk_offset + c), in a fixed draw order, so identical parameters
-    give bit-identical accumulators and two half-ensembles (via
-    `chunk_offset`) merge into exactly the full-ensemble result.
+    give bit-identical sums, and the sums of half-ensembles run with
+    disjoint `chunk_offset`s, concatenated along the chunk axis, are
+    exactly those of the full ensemble.
     """
     taus = tuple(float(t) for t in taus)
     if not taus or taus[0] < 0 or any(b <= a for a, b in zip(taus, taus[1:])):
@@ -381,14 +309,13 @@ def run_ensemble(
     ncols = n_noise_columns(params.linear_loss_mode)
     noise = np.empty((n_traj, ncols), dtype=complex) if draw_noise else None
 
-    accumulators = [MomentAccumulator() for _ in taus]
+    sums = np.empty((len(taus), n_chunks, NBASIS), dtype=complex)
     cols = np.empty((csize, NBASIS), dtype=complex)
 
     def record(i_tau: int) -> None:
         for c in range(n_chunks):
-            zc = z[slices[c]]
-            monomial_columns(zc, out=cols)
-            accumulators[i_tau].add_chunk(chunk_offset + c, csize, cols.sum(axis=0))
+            monomial_columns(z[slices[c]], out=cols)
+            sums[i_tau, c] = cols.sum(axis=0)
 
     def check_finite(tau: float, steps_done: int) -> None:
         finite = np.isfinite(z).all(axis=1)
@@ -422,4 +349,4 @@ def run_ensemble(
             pos = target
         check_finite(target, steps_done)
         record(i)
-    return WignerRun(taus, accumulators, n_traj, params)
+    return WignerRun(taus, sums, csize)

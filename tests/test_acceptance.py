@@ -22,8 +22,7 @@ from twinwell.kerr import (
 )
 from twinwell.operators import BASIS_INDEX, ModeMonomial
 from twinwell.spins import optimal_angle, rotated_variance, spin_moments, squeezing
-from twinwell.sweeps import min_over_tau
-from twinwell.wigner import run_ensemble
+from twinwell.wigner import WignerMomentSource, run_ensemble
 
 B = "B9p116G"
 
@@ -36,6 +35,30 @@ def report(n, name, ok, detail):
 
 def exact_table(coup, init, taus):
     return moment_table(coup, init, np.atleast_1d(taus))
+
+
+def min_over_tau(taus, values, reevaluate=None):
+    """Grid minimum with local parabolic refinement.
+
+    `reevaluate(tau)` recomputes the objective exactly at the parabola
+    vertex (used by the exact engine); stochastic curves keep the grid
+    value.  Returns (tau_min, value_min).
+    """
+    taus = np.asarray(taus, dtype=float)
+    values = np.asarray(values, dtype=float)
+    i = int(np.argmin(values))
+    best = (float(taus[i]), float(values[i]))
+    if 0 < i < len(taus) - 1:
+        t0, t1, t2 = taus[i - 1 : i + 2]
+        v0, v1, v2 = values[i - 1 : i + 2]
+        denom = (t1 - t0) * (v1 - v2) - (t1 - t2) * (v1 - v0)
+        if denom != 0.0:
+            tv = t1 - 0.5 * ((t1 - t0) ** 2 * (v1 - v2) - (t1 - t2) ** 2 * (v1 - v0)) / denom
+            if t0 < tv < t2 and reevaluate is not None:
+                vv = float(reevaluate(float(tv)))
+                if vv < best[1]:
+                    best = (float(tv), vv)
+    return best
 
 
 def se_of(arr):
@@ -274,17 +297,12 @@ def test_acceptance_09_property_suites():
     taus = (0.0, 0.5)
     r1 = run_ensemble(coup200, LossRates(), init200, taus, params)
     r2 = run_ensemble(coup200, LossRates(), init200, taus, params)
-    checks.append(
-        ("seed determinism",
-         all(np.array_equal(r1.accumulators[i].mean(), r2.accumulators[i].mean())
-             for i in range(2)))
-    )
+    checks.append(("seed determinism", np.array_equal(r1.moment_table(), r2.moment_table())))
     lo = run_ensemble(coup200, LossRates(), init200, taus, params, n_traj=100)
     hi = run_ensemble(coup200, LossRates(), init200, taus, params, n_traj=100, chunk_offset=2)
-    merged = lo.accumulators[1].merge(hi.accumulators[1])
+    merged = WignerMomentSource(np.concatenate([lo.sums, hi.sums], axis=1), params.chunk_size)
     checks.append(
-        ("merge associativity",
-         np.array_equal(merged.mean(), r1.accumulators[1].mean()))
+        ("merge associativity", np.array_equal(merged.table, r1.moment_table()))
     )
 
     # step-halving convergence (lossless runs share the initial ensemble)

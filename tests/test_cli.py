@@ -141,6 +141,14 @@ class TestErrorPaths:
         assert out == ""
         assert "tau_max" in err and "finite" in err
 
+    def test_non_integral_number_exit_2(self, capsys, tmp_path):
+        # int() would run 1000 trajectories without a word
+        cfg = write_cfg(tmp_path, {"wigner": {"n_traj": 1000.9, "chunk_size": 500}})
+        code, out, err = run_cli(capsys, "dynamic", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "n_traj" in err and "integer" in err
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "squeeze", "--config", str(tmp_path / "nope.json"))
         assert code == 2

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +9,13 @@ from twinwell.config import (
     LossRates,
     PhysicalCouplings,
     config_hash,
+    load_config,
     preset_couplings,
     validate_config,
 )
 from twinwell.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_all_defaults_accepted():
@@ -89,6 +93,33 @@ def test_non_finite_numbers_rejected(doc, field):
         validate_config(json.loads(json.dumps(doc)))
 
 
+@pytest.mark.parametrize(
+    "doc, field, message",
+    [
+        ({"wigner": {"n_traj": 1000.9}}, "n_traj", "integer"),
+        ({"wigner": {"seed": 7.5}}, "seed", "integer"),
+        ({"wigner": {"chunk_size": 250.5}}, "chunk_size", "integer"),
+        ({"sweep": {"n_tau": 3.7}}, "n_tau", "integer"),
+        ({"wigner": {"seed": True}}, "seed", "number"),
+        ({"wigner": {"n_traj": False}}, "n_traj", "number"),
+        ({"initial": {"N_A": True}}, "N_A", "number"),
+        ({"preset": {"tag": "B9p116G", "kappa": True}}, "kappa", "number"),
+        ({"losses": {"gamma1": False}}, "gamma1", "number"),
+        ({"sweep": {"fixed_theta": True}}, "fixed_theta", "number"),
+    ],
+)
+def test_non_integral_and_boolean_numbers_rejected(doc, field, message):
+    # int() would truncate 1000.9 to 1000, and json true reads as 1
+    with pytest.raises(ConfigError, match=f"{field}: expected an? {message}"):
+        validate_config(json.loads(json.dumps(doc)))
+
+
+def test_integral_floats_accepted_as_integers():
+    cfg = validate_config({"wigner": {"n_traj": 1000.0, "seed": 7.0, "chunk_size": 250.0}})
+    assert (cfg.wigner.n_traj, cfg.wigner.seed, cfg.wigner.chunk_size) == (1000, 7, 250)
+    assert all(type(v) is int for v in (cfg.wigner.n_traj, cfg.wigner.seed))
+
+
 def test_non_monotone_grid_rejected():
     with pytest.raises(ConfigError, match="tau_grid"):
         validate_config({"sweep": {"tau_grid": [0.0, 0.2, 0.1]}})
@@ -163,3 +194,36 @@ def test_config_hash_stable_under_key_order():
     assert config_hash(a) == config_hash(b)
     c = validate_config({"initial": {"N_A": 101, "N_B": 100}})
     assert config_hash(a) != config_hash(c)
+
+
+EXPLICIT = {
+    "couplings": {"g11": 0.01, "g12": 0.002, "kappa": 0.3},
+    "initial": {"N_A": 100, "N_B": 80, "phase": 0.2},
+    "losses": {"gamma1": 0.001},
+    "sweep": {"tau_grid": [0, 0.5, 1], "fixed_theta": 0.1, "theta_objective": "epr"},
+    "wigner": {"n_traj": 1000, "chunk_size": 250, "seed": 5, "dtau": 0.001},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, digest",
+    [
+        ("two_step_n2000.json", "a9316a72268c233a46b791530fce3e9ad547b14a800f55d37d1ed2a101e74f97"),
+        (
+            "dynamic_strong_tunneling.json",
+            "bc416934c5e58327d5113909157f7c4f3fa03133089b51e3ddaa1fa4df45cf5f",
+        ),
+        (
+            "two_step_losses_n2000.json",
+            "5afdff61755c14451d7c7a96051e2208e46212d6ae0eafc8c6a8a55e7eda9e56",
+        ),
+        ({}, "2da91d571fd8c2718496bb9747807c55bc94ba43f3e3f1a5b74a0662765b8136"),
+        (EXPLICIT, "52a0fefc610c49167baaa8f8cbe0db04012f58e52d926d10a05e5d27c624fc18"),
+    ],
+    ids=["two_step_n2000", "dynamic_strong_tunneling", "two_step_losses_n2000", "defaults", "explicit"],
+)
+def test_config_hash_pinned(doc, digest):
+    # the hash is written into every CSV header: the normalized document
+    # of an unchanged config must not change
+    cfg = load_config(CONFIGS / doc) if isinstance(doc, str) else validate_config(doc)
+    assert config_hash(cfg) == digest

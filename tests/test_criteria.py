@@ -154,6 +154,25 @@ class TestCompiledAgainstOracle:
             want, _ = oracle.local_squeezing(table[i])
             assert s_local[i] == pytest.approx(want, rel=1e-10)
 
+    def test_epr_angle_stable_under_rounding_noise(self):
+        # the epr objective has two exactly equal minima, θ and θ + π/2;
+        # rounding noise alone must not pick a different one, or
+        # theta_opt, S_minus, S_plus, E_product and duan_sum jump
+        table = exact_table("B9p116G", 200.0, np.linspace(0.0, 16.0, 33))
+        r0 = evaluate_criteria(table, objective="epr")
+        assert np.all(np.abs(r0.theta_opt) <= 0.25 * math.pi)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            noisy = table * (1.0 + 1e-15 * rng.standard_normal(table.shape))
+            r = evaluate_criteria(noisy, objective="epr")
+            # measured: θ moves by up to 1.6e-7 on the flat optimum, and
+            # E_product by 1.6e-10; at tau = 0 the objective is flat in θ
+            # and the angle is undetermined
+            assert np.all(np.abs(r.theta_opt - r0.theta_opt)[1:] <= 1e-6)
+            for f in CRITERION_COLUMNS:
+                got, want = getattr(r, f), getattr(r0, f)
+                assert np.all(np.abs(got - want) <= 1e-8 * (1.0 + np.abs(want))), f
+
     def test_local_squeezing_rows(self):
         table = exact_table("B9p116G", 2000.0, np.linspace(0.0, 16.0, 9))
         sweep = SweepParams(taus=tuple(np.linspace(0.0, 16.0, 9)))

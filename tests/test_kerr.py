@@ -153,7 +153,7 @@ class TestKerrMoment:
         tau = 0.13
         a_part = (1, 0, 0, 1)
         b_part = (0, 1, 1, 0)
-        cross = ModeMonomial.cross(a_part, b_part)
+        cross = (1, 0, 0, 1, 0, 1, 1, 0)  # a1† b2† a2 b1
         va = kerr_moment(ModeMonomial.site_a(*a_part), RATIOS, tau, init)
         vb = kerr_moment(ModeMonomial.site_b(*b_part), RATIOS, tau, init)
         vc = kerr_moment(cross, RATIOS, tau, init)

@@ -179,6 +179,4 @@ class TestModeMonomial:
         assert m.key == (1, 2, 0, 0, 0, 1, 0, 0)
         assert m.order == 4
         assert m.dagger().key == (0, 1, 0, 0, 1, 2, 0, 0)
-        c = ModeMonomial.cross((1, 0, 0, 1), (0, 1, 1, 0))
-        a_part, b_part = c.site_parts()
-        assert a_part == (1, 0, 0, 1) and b_part == (0, 1, 1, 0)
+        assert ModeMonomial.site_b(0, 1, 1, 0).key == (0, 0, 0, 1, 0, 0, 1, 0)

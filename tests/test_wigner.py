@@ -14,22 +14,48 @@ from twinwell.wigner import (
     BASIS_KEYS,
     CAHILL,
     NBASIS,
-    MomentAccumulator,
+    WignerMomentSource,
     _chunk_rng,
-    diffusion,
+    _linear_loss_cols,
     drift,
     monomial_columns,
     n_noise_columns,
     run_ensemble,
     sample_initial,
     step,
-    symmetric_to_normal,
     _noise_term,
 )
 
 COUP = preset_couplings("B9p116G", 200.0)
 INIT = InitialState(N_A=200.0)
 LOSSLESS = LossRates()
+N1 = BASIS_INDEX[ModeMonomial.site_a(1, 0, 1, 0).key]  # a1† a1
+
+
+def diffusion(z, losses, linear_loss_mode="printed"):
+    """Noise matrix B with shape (..., 4, 4 + n_linear_columns), built
+    entry by entry: the reference for `_noise_term`."""
+    cols = _linear_loss_cols(linear_loss_mode)
+    b = np.zeros(z.shape[:-1] + (4, 4 + len(cols)), dtype=complex)
+    s12 = math.sqrt(losses.gamma12)
+    s22 = math.sqrt(losses.gamma22)
+    s1 = math.sqrt(losses.gamma1)
+    a1, b1_, a2, b2_ = z[..., 0], z[..., 1], z[..., 2], z[..., 3]
+    b[..., 0, 0] = s12 * a2
+    b[..., 1, 1] = s12 * b2_
+    b[..., 2, 0] = s12 * a1
+    b[..., 2, 2] = s22 * a2
+    b[..., 3, 1] = s12 * b1_
+    b[..., 3, 3] = s22 * b2_
+    for j, col in enumerate(cols):
+        b[..., col, 4 + j] = s1
+    return b
+
+
+def one_chunk_table(z):
+    """(NBASIS,) normal-ordered moments of one ensemble, as one chunk."""
+    sums = monomial_columns(z).sum(axis=0)
+    return WignerMomentSource(sums[None, None], z.shape[0]).table[0, 0]
 
 
 class TestSampling:
@@ -176,9 +202,8 @@ class TestEnsemble:
     def test_seed_determinism(self):
         r1 = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS)
         r2 = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS)
-        for a, b in zip(r1.accumulators, r2.accumulators):
-            for c in a.chunks:
-                assert np.array_equal(a.chunks[c].sums, b.chunks[c].sums)
+        assert r1.sums.shape == (len(self.TAUS), 4, NBASIS)
+        assert np.array_equal(r1.sums, r2.sums)
 
     def test_half_ensembles_merge_to_full(self):
         full = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS)
@@ -186,21 +211,16 @@ class TestEnsemble:
         hi = run_ensemble(
             COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS, n_traj=100, chunk_offset=2
         )
-        for i in range(len(self.TAUS)):
-            merged = lo.accumulators[i].merge(hi.accumulators[i])
-            assert merged.count == full.accumulators[i].count
-            assert np.array_equal(merged.mean(), full.accumulators[i].mean())
-
-    def test_merge_rejects_overlap(self):
-        r = run_ensemble(COUP, LOSSLESS, INIT, (0.0,), self.PARAMS, n_traj=100)
-        with pytest.raises(ValueError, match="chunk"):
-            r.accumulators[0].merge(r.accumulators[0])
+        merged = np.concatenate([lo.sums, hi.sums], axis=1)
+        assert np.array_equal(merged, full.sums)
+        table = WignerMomentSource(merged, self.PARAMS.chunk_size).table
+        assert np.array_equal(table, full.moment_table())
 
     def test_noisy_run_deterministic_too(self):
         losses = LossRates(gamma1=0.01, gamma12=1e-4)
         r1 = run_ensemble(COUP, losses, INIT, self.TAUS, self.PARAMS)
         r2 = run_ensemble(COUP, losses, INIT, self.TAUS, self.PARAMS)
-        assert np.array_equal(r1.accumulators[-1].mean(), r2.accumulators[-1].mean())
+        assert np.array_equal(r1.moment_table(), r2.moment_table())
 
     def test_divergence_reported(self):
         bad = PhysicalCouplings(g11=10.0, g12=0.0, g22=10.0)
@@ -254,11 +274,7 @@ class TestMomentConversion:
         vac = InitialState(N_A=1e-12, N_B=1e-12)
         rng = _chunk_rng(17, 0)
         z = sample_initial(vac, rng, 20_000)
-        acc = MomentAccumulator()
-        cols = monomial_columns(z)
-        acc.add_chunk(0, z.shape[0], cols.sum(axis=0))
-        table = symmetric_to_normal(acc)
-        n1 = table[ModeMonomial.site_a(1, 0, 1, 0).key]
+        n1 = one_chunk_table(z)[N1]
         se = 0.5 / math.sqrt(z.shape[0])
         assert abs(n1) < 5 * se + 1e-6
 
@@ -267,12 +283,9 @@ class TestMomentConversion:
         rng = _chunk_rng(23, 0)
         n = 200_000
         z = sample_initial(init, rng, n)
-        acc = MomentAccumulator()
-        cols = monomial_columns(z)
-        acc.add_chunk(0, n, cols.sum(axis=0))
-        table = symmetric_to_normal(acc)
-        n1 = table[ModeMonomial.site_a(1, 0, 1, 0).key].real
-        n1n1 = table[ModeMonomial.site_a(2, 0, 2, 0).key].real
+        table = one_chunk_table(z)
+        n1 = table[N1].real
+        n1n1 = table[BASIS_INDEX[ModeMonomial.site_a(2, 0, 2, 0).key]].real
         assert n1 == pytest.approx(100.0, abs=5 * 10.0 / math.sqrt(n) + 0.01)
         assert n1n1 == pytest.approx(10_000.0, rel=0.002)
 
@@ -292,17 +305,17 @@ class TestMomentConversion:
         run = run_ensemble(COUP, LOSSLESS, INIT, taus, params)
         n_chunks = params.n_traj // params.chunk_size
         table = run.moment_table()
+        n = params.n_traj
         for i, tau in enumerate(taus):
-            acc = run.accumulators[i]
             sq = np.sum(sumsq[i * n_chunks : (i + 1) * n_chunks], axis=0)
-            n = acc.count
+            mean = run.sums[i].sum(axis=0) / n
             # per-monomial standard error of the mean (|.|-sense), a crude bound
-            stderr = np.sqrt(np.maximum(sq / n - np.abs(acc.mean()) ** 2, 0.0) / (n - 1))
+            stderr = np.sqrt(np.maximum(sq / n - np.abs(mean) ** 2, 0.0) / (n - 1))
             for key in (
                 ModeMonomial.site_a(1, 0, 1, 0).key,
                 ModeMonomial.site_a(0, 1, 1, 0).key,
                 ModeMonomial.site_a(1, 1, 1, 1).key,
-                ModeMonomial.cross((0, 1, 1, 0), (1, 0, 0, 1)).key,
+                (0, 1, 1, 0, 1, 0, 0, 1),  # a2† b1† a1 b2
             ):
                 got = table[i, 0, BASIS_INDEX[key]]
                 want = kerr_moment(key, COUP, tau, INIT)
@@ -317,10 +330,7 @@ class TestPhysics:
         taus = (0.0, 1.0, 2.0)
         params = SimConfig(dtau=1e-3, n_traj=2000, seed=41, chunk_size=500)
         run = run_ensemble(COUP, losses, INIT, taus, params)
-        n_of_tau = []
-        for i in range(len(taus)):
-            table = symmetric_to_normal(run.accumulators[i])
-            n_of_tau.append(table[ModeMonomial.site_a(1, 0, 1, 0).key].real)
+        n_of_tau = run.moment_table()[:, 0, N1].real
         for tau, n in zip(taus, n_of_tau):
             assert n == pytest.approx(100.0 * math.exp(-2 * 0.05 * tau), rel=0.02)
 
@@ -328,10 +338,9 @@ class TestPhysics:
         losses = LossRates(gamma12=1e-3)
         params = SimConfig(dtau=1e-3, n_traj=1000, seed=43, chunk_size=500)
         run = run_ensemble(COUP, losses, INIT, (0.0, 2.0), params)
-        t0 = symmetric_to_normal(run.accumulators[0])
-        t1 = symmetric_to_normal(run.accumulators[1])
+        t0, t1 = run.moment_table()[:, 0].real
         for key in (ModeMonomial.site_a(1, 0, 1, 0).key, ModeMonomial.site_a(0, 1, 0, 1).key):
-            assert t1[key].real < t0[key].real - 5.0
+            assert t1[BASIS_INDEX[key]] < t0[BASIS_INDEX[key]] - 5.0
 
     def test_step_halving_converges(self):
         taus = (0.0, 1.0)
