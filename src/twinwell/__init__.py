@@ -5,7 +5,7 @@ engine, feeding shared spin-squeezing / entanglement / EPR-steering
 criteria, with a sweep CLI on top.
 """
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"
 
 from .config import (
     InitialState,
@@ -28,12 +28,6 @@ from .criteria import (
     optimal_gains,
 )
 from .errors import ConfigError, DegenerateReferenceError, DivergenceError, TruncationError
-from .kerr import (
-    fock_oracle_moment,
-    kerr_moment,
-    moment_table,
-    single_mode_expectation,
-    two_mode_first_moment,
-)
-from .operators import ModeMonomial, NormalPoly, beam_splitter
+from .kerr import fock_moment_table, moment_table
+from .operators import NormalPoly, beam_splitter
 from .spins import SpinMoments, optimal_angle, rotated_variance, spin_moments, squeezing

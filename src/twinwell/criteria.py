@@ -43,6 +43,8 @@ from .spins import delta_theta_from, phase_factor_from
 
 _TINY = 1e-300
 GOLDEN_TOL = 1e-12
+# a scan whose spread is at most FLAT_TOL times its largest value is flat
+FLAT_TOL = 1e-8
 # taus per block of the angle scan: bounds its (block, n_scan) temporaries
 SCAN_BLOCK = 8
 
@@ -210,16 +212,18 @@ def optimal_theta(V, mode: str, objective: str = "product", n_scan: int = 720) -
     GOLDEN_TOL.  The angle is returned in (-pi/2, pi/2].  The "epr"
     objective is exactly pi/2-periodic (θ and θ + π/2 swap its two
     factors), so its two equal minima are told apart by rounding alone;
-    its angle is folded into (-pi/4, pi/4] to pick one of them.
+    its angle is folded into (-pi/4, pi/4] to pick one of them.  Where
+    the scan is flat (the initial coherent state at tau = 0) rounding
+    alone would pick the angle, so it is 0 there.
     """
     f = lambda x: _objective(mode, V, x, objective)
     grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_scan, endpoint=False)
-    i = np.concatenate(
-        [
-            np.argmin(_objective(mode, V[k : k + SCAN_BLOCK, None], grid, objective), axis=-1)
-            for k in range(0, len(V), SCAN_BLOCK)
-        ]
-    )
+    i = np.empty(len(V), dtype=np.intp)
+    flat = np.empty(len(V), dtype=bool)
+    for k in range(0, len(V), SCAN_BLOCK):
+        y = _objective(mode, V[k : k + SCAN_BLOCK, None], grid, objective)
+        i[k : k + SCAN_BLOCK] = np.argmin(y, axis=-1)
+        flat[k : k + SCAN_BLOCK] = np.ptp(y, axis=-1) <= FLAT_TOL * np.abs(y).max(axis=-1)
     step = math.pi / n_scan
     a, b = grid[i] - step, grid[i] + step
     inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -245,11 +249,12 @@ def optimal_theta(V, mode: str, objective: str = "product", n_scan: int = 720) -
         active &= b - a >= GOLDEN_TOL
     theta = 0.5 * (a + b)
     half = 0.25 * math.pi if objective == "epr" else 0.5 * math.pi
-    return np.where(
+    theta = np.where(
         theta <= -half,
         theta + 2.0 * half,
         np.where(theta > half, theta - 2.0 * half, theta),
     )
+    return np.where(flat, 0.0, theta)
 
 
 def joint_moments(

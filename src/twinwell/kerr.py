@@ -20,8 +20,9 @@ a_i f(N_j) = f(N_j + δ_ij) a_i leaves
 
 with λ_i = |α_i|².  An independent truncated Fock-basis oracle
 (`fock_site_moment`) cross-checks the closed form.  Wells never couple
-under this Hamiltonian, so cross-site monomials factorize, and
-`moment_table` tabulates the whole monomial basis for a grid of times.
+under this Hamiltonian, so cross-site monomials factorize:
+`moment_table` tabulates the whole monomial basis for a grid of times
+from the closed form, and `fock_moment_table` from the oracle.
 """
 
 from __future__ import annotations
@@ -32,36 +33,12 @@ import math
 import numpy as np
 
 from .errors import TruncationError
-from .operators import BASIS_KEYS, NBASIS, ModeMonomial
+from .operators import BASIS_KEYS, NBASIS
 
 
 def _abs2(x) -> float:
     z = complex(x)
     return z.real * z.real + z.imag * z.imag
-
-
-def single_mode_expectation(alpha, g: float, t: float) -> complex:
-    """<a(t)> for one Kerr mode prepared in |alpha>."""
-    alpha = complex(alpha)
-    return alpha * cmath.exp(_abs2(alpha) * (cmath.exp(-1j * g * t) - 1.0))
-
-
-def two_mode_first_moment(alpha, couplings, i: int, tau: float) -> complex:
-    """<a_i(t)> for the split coherent state |α/√2>|α/√2>.
-
-    `alpha` is the pre-split amplitude (|alpha|² = mean total atom number).
-    """
-    if i not in (1, 2):
-        raise ValueError(f"mode index must be 1 or 2, got {i}")
-    gi1 = couplings.g11 if i == 1 else couplings.g12
-    gi2 = couplings.g12 if i == 1 else couplings.g22
-    alpha = complex(alpha)
-    half = 0.5 * _abs2(alpha)
-    return (
-        (alpha / math.sqrt(2.0))
-        * cmath.exp(half * (cmath.exp(-1j * gi1 * tau) - 1.0))
-        * cmath.exp(half * (cmath.exp(-1j * gi2 * tau) - 1.0))
-    )
 
 
 def site_moment(
@@ -118,45 +95,45 @@ def _site_parts(key):
     return (key[0], key[1], key[4], key[5]), (key[2], key[3], key[6], key[7])
 
 
-def moment_table(couplings, initial, taus) -> np.ndarray:
-    """Exact normal-ordered moments over the basis: (n_tau, 1, NBASIS).
+def _tabulate(initial, n_tau: int, site) -> np.ndarray:
+    """Normal-ordered moments over the basis: (n_tau, 1, NBASIS).
 
-    The single ensemble row keeps the layout of the stochastic engine's
-    table.  Wells evolve independently, so each monomial is the product
-    of its two site parts, and each distinct site part is evaluated once
-    for all taus.
+    `site(part, alpha)` gives the (n_tau,) moments of one well part
+    (p1, p2, q1, q2) for the coherent amplitude `alpha`.  Wells evolve
+    independently, so each monomial is the product of its two site parts,
+    and each distinct part is evaluated once.  The single ensemble row
+    keeps the layout of the stochastic engine's table.
     """
-    taus = np.asarray(taus, dtype=float)
-    c = couplings
+    cache = {}
 
-    def site(part, alpha, cache):
-        v = cache.get(part)
-        if v is None:
-            v = 1.0
-            if any(part):
-                v = site_moment(*part, alpha, alpha, c.g11, c.g12, c.g22, taus)
-            cache[part] = v
-        return v
+    def part(p, alpha):
+        if not any(p):
+            return 1.0
+        if (p, alpha) not in cache:
+            cache[p, alpha] = site(p, alpha)
+        return cache[p, alpha]
 
-    table = np.empty((taus.size, 1, NBASIS), dtype=complex)
-    cache_a, cache_b = {}, {}
+    table = np.empty((n_tau, 1, NBASIS), dtype=complex)
     for i, key in enumerate(BASIS_KEYS):
         a_part, b_part = _site_parts(key)
-        table[:, 0, i] = site(a_part, initial.alpha_a, cache_a) * site(
-            b_part, initial.alpha_b, cache_b
-        )
+        table[:, 0, i] = part(a_part, initial.alpha_a) * part(b_part, initial.alpha_b)
     return table
 
 
-def kerr_moment(m, couplings, tau: float, initial) -> complex:
-    """Exact expectation of a (possibly cross-site) normal-ordered monomial."""
-    key = m.key if isinstance(m, ModeMonomial) else tuple(m)
+def moment_table(couplings, initial, taus) -> np.ndarray:
+    """Exact moments over the basis for a grid of times, (n_tau, 1, NBASIS),
+    with `site_moment` vectorised over the times.
+
+    `site_moment` is looked up when called, so a wrapper installed on the
+    module attribute sees every evaluation.
+    """
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
     c = couplings
-    v = 1.0 + 0j
-    for part, alpha in zip(_site_parts(key), (initial.alpha_a, initial.alpha_b)):
-        if any(part):
-            v *= site_moment(*part, alpha, alpha, c.g11, c.g12, c.g22, tau)
-    return complex(v)
+    return _tabulate(
+        initial,
+        taus.size,
+        lambda p, alpha: site_moment(*p, alpha, alpha, c.g11, c.g12, c.g22, taus),
+    )
 
 
 def default_fock_cutoff(nbar: float) -> int:
@@ -233,12 +210,15 @@ def fock_site_moment(
     return complex(np.sum(bra * ket * f1[:, None] * f2[None, :]))
 
 
-def fock_oracle_moment(m, couplings, tau: float, initial, cutoff: int | None = None) -> complex:
-    """Oracle counterpart of `kerr_moment` (cross-site factorized)."""
-    key = m.key if isinstance(m, ModeMonomial) else tuple(m)
+def fock_moment_table(couplings, initial, taus, cutoff: int | None = None) -> np.ndarray:
+    """Oracle counterpart of `moment_table`, filled by `fock_site_moment`
+    one time at a time."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
     c = couplings
-    v = 1.0 + 0j
-    for part, alpha in zip(_site_parts(key), (initial.alpha_a, initial.alpha_b)):
-        if any(part):
-            v *= fock_site_moment(*part, alpha, alpha, c.g11, c.g12, c.g22, tau, cutoff)
-    return v
+    return _tabulate(
+        initial,
+        taus.size,
+        lambda p, alpha: np.array(
+            [fock_site_moment(*p, alpha, alpha, c.g11, c.g12, c.g22, t, cutoff) for t in taus]
+        ),
+    )

@@ -55,28 +55,6 @@ def key_dagger(key):
     return key[4:] + key[:4]
 
 
-@dataclass(frozen=True)
-class ModeMonomial:
-    """Exponent vector of one normal-ordered operator product."""
-
-    key: tuple
-
-    @classmethod
-    def site_a(cls, p1: int, p2: int, q1: int, q2: int) -> "ModeMonomial":
-        return cls((p1, p2, 0, 0, q1, q2, 0, 0))
-
-    @classmethod
-    def site_b(cls, p1: int, p2: int, q1: int, q2: int) -> "ModeMonomial":
-        return cls((0, 0, p1, p2, 0, 0, q1, q2))
-
-    @property
-    def order(self) -> int:
-        return sum(self.key)
-
-    def dagger(self) -> "ModeMonomial":
-        return ModeMonomial(key_dagger(self.key))
-
-
 class NormalPoly:
     """Sparse complex polynomial in normal-ordered mode monomials."""
 
@@ -84,10 +62,6 @@ class NormalPoly:
 
     def __init__(self, terms=None):
         self.terms = dict(terms) if terms else {}
-
-    @classmethod
-    def constant(cls, c) -> "NormalPoly":
-        return cls({(0,) * 8: complex(c)})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -174,18 +148,6 @@ class NormalPoly:
         return f"NormalPoly({{{items}}})"
 
 
-def creation(mode: int) -> NormalPoly:
-    p = [0] * 8
-    p[mode] = 1
-    return NormalPoly({tuple(p): 1.0 + 0j})
-
-
-def annihilation(mode: int) -> NormalPoly:
-    q = [0] * 8
-    q[4 + mode] = 1
-    return NormalPoly({tuple(q): 1.0 + 0j})
-
-
 @dataclass(frozen=True)
 class ModeVector:
     """Linear combination of bare annihilation operators with exact scale.
@@ -247,11 +209,6 @@ def raising_bilinear(site) -> NormalPoly:
     """m2† m1 for a (possibly transformed) site; its phase defines Δθ."""
     m1, m2 = site
     return bilinear(m2, m1)
-
-
-def number_operator(site) -> NormalPoly:
-    m1, m2 = site
-    return bilinear(m1, m1) + bilinear(m2, m2)
 
 
 def spin_operators(site, phase_factor=1.0):

@@ -81,9 +81,13 @@ def _objective(V, theta, objective):
 
 
 def optimal_theta(V, objective="product", n_scan=720):
-    """Scan, then scalar golden-section refinement of the best bracket."""
+    """Scan, then scalar golden-section refinement of the best bracket;
+    0 where the scan's spread is at most 1e-8 of its largest value."""
     grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_scan, endpoint=False)
-    i = int(np.argmin([_objective(V, t, objective) for t in grid]))
+    values = [_objective(V, t, objective) for t in grid]
+    if max(values) - min(values) <= 1e-8 * max(abs(v) for v in values):
+        return 0.0
+    i = int(np.argmin(values))
     step = math.pi / n_scan
     a, b = grid[i] - step, grid[i] + step
     inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)

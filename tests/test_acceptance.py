@@ -13,14 +13,8 @@ import pytest
 
 from twinwell.config import InitialState, LossRates, SimConfig, preset_couplings
 from twinwell.criteria import evaluate_criteria
-from twinwell.kerr import (
-    fock_oracle_moment,
-    fock_site_moment,
-    kerr_moment,
-    moment_table,
-    single_mode_expectation,
-)
-from twinwell.operators import BASIS_INDEX, ModeMonomial
+from twinwell.kerr import fock_moment_table, fock_site_moment, moment_table, site_moment
+from twinwell.operators import BASIS_INDEX, NBASIS, key_dagger
 from twinwell.spins import optimal_angle, rotated_variance, spin_moments, squeezing
 from twinwell.wigner import WignerMomentSource, run_ensemble
 
@@ -69,7 +63,7 @@ def se_of(arr):
 def test_acceptance_01_revival_exactness():
     alpha, g = 4.0, 0.37  # |alpha|^2 = 16
     t_rev = 2.0 * math.pi / g
-    closed = single_mode_expectation(alpha, g, t_rev)
+    closed = complex(site_moment(0, 0, 1, 0, alpha, 0.0, g, 0.0, 0.0, t_rev))
     err_closed = abs(closed - alpha)
     oracle = fock_site_moment(0, 0, 1, 0, alpha, 0.0, g, 0.0, 0.0, t_rev, cutoff=60)
     err_oracle = abs(oracle - alpha)
@@ -84,24 +78,13 @@ def test_acceptance_02_closed_form_oracle_equivalence():
     coup = preset_couplings(B, 1.0)  # ratio couplings, g11 = 1
     init = InitialState(N_A=16.0, N_B=16.0)  # |alpha|^2 = 8 per mode
     rng = np.random.default_rng(2)
-    monomials = [
-        ModeMonomial.site_a(p1, p2, q1, q2)
-        for p1 in range(5)
-        for p2 in range(5)
-        for q1 in range(5)
-        for q2 in range(5)
-        if 0 < p1 + p2 + q1 + q2 <= 4
-    ]
-    worst = 0.0
     taus = rng.uniform(1e-3, 0.2, 20)
-    for tau, row in zip(taus, moment_table(coup, init, taus)[:, 0]):
-        for m in monomials:
-            a = row[BASIS_INDEX[m.key]]
-            b = fock_oracle_moment(m, coup, float(tau), init, cutoff=40)
-            worst = max(worst, abs(a - b) / (abs(b) + 1e-12))
+    closed = moment_table(coup, init, taus)
+    oracle = fock_moment_table(coup, init, taus, cutoff=40)
+    worst = float(np.max(np.abs(closed - oracle) / (np.abs(oracle) + 1e-12)))
     ok = worst < 1e-8
     report(2, "closed form vs Fock oracle", ok,
-           f"{len(monomials)} monomials x 20 times, worst relative error {worst:.2e} (<1e-8)")
+           f"{NBASIS} monomials x 20 times, worst relative error {worst:.2e} (<1e-8)")
     assert worst < 1e-8
 
 
@@ -256,17 +239,15 @@ def test_acceptance_09_property_suites():
     # conjugation symmetry of the closed-form moments
     coup = preset_couplings(B, 1.0)
     init = InitialState(N_A=8.0, N_B=8.0)
-    m = ModeMonomial.site_a(2, 0, 1, 1)
-    a = kerr_moment(m, coup, 0.37, init)
-    b = kerr_moment(m.dagger(), coup, 0.37, init)
+    row = moment_table(coup, init, [0.37])[0, 0]
+    m = (2, 0, 0, 0, 1, 1, 0, 0)  # a1†² a1 a2
+    a, b = row[BASIS_INDEX[m]], row[BASIS_INDEX[key_dagger(m)]]
     checks.append(("conjugation", a == b.conjugate()))
 
     # number conservation
-    n_op = ModeMonomial.site_a(1, 0, 1, 0)
-    checks.append(
-        ("number conservation",
-         abs(kerr_moment(n_op, coup, 5.0, init) - kerr_moment(n_op, coup, 0.0, init)) < 1e-10)
-    )
+    n_op = BASIS_INDEX[(1, 0, 0, 0, 1, 0, 0, 0)]
+    late, early = moment_table(coup, init, (5.0, 0.0))[:, 0, n_op]
+    checks.append(("number conservation", abs(late - early) < 1e-10))
 
     # angle-scan optimality of the closed-form optimum
     coup200 = preset_couplings(B, 200.0)

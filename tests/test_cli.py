@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import twinwell
 from twinwell.cli import main
 
 
@@ -190,6 +193,15 @@ class TestOutput:
         assert out == ""
         text = out_path.read_text()
         assert text.startswith("# twinwell")
+
+    def test_version_matches_pyproject(self, capsys, tmp_path):
+        # the CSV header names the package version; a bump must touch both
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        version = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+        assert twinwell.__version__ == version
+        cfg = write_cfg(tmp_path, {"sweep": {"tau_max": 1.0, "n_tau": 2}})
+        _, out, _ = run_cli(capsys, "squeeze", "--config", cfg)
+        assert out.splitlines()[0] == f"# twinwell {version}"
 
     def test_defaults_without_config(self, capsys, tmp_path):
         # no --config at all: built-in defaults (400-point grid)

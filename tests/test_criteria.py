@@ -16,7 +16,7 @@ from twinwell.criteria import (
     optimal_gains,
 )
 from twinwell.errors import DegenerateReferenceError
-from twinwell.kerr import moment_table
+from twinwell.kerr import fock_moment_table, moment_table
 from twinwell.spins import optimal_angle, spin_moments, squeezing
 from twinwell.sweeps import criteria_row
 from twinwell.wigner import run_ensemble
@@ -172,6 +172,36 @@ class TestCompiledAgainstOracle:
             for f in CRITERION_COLUMNS:
                 got, want = getattr(r, f), getattr(r0, f)
                 assert np.all(np.abs(got - want) <= 1e-8 * (1.0 + np.abs(want))), f
+        # at tau = 0 the objective is flat in θ, and the angle is 0 by rule
+        for N in (200.0, 2000.0):
+            t0 = exact_table("B9p116G", N, 0.0)
+            for table in (t0, t0 * (1.0 + 1e-15 * rng.standard_normal(t0.shape))):
+                for beam_splitter in (True, False):
+                    for objective in ("product", "epr"):
+                        r = evaluate_criteria(table, beam_splitter, objective=objective)
+                        assert r.theta_opt[0] == 0.0, (N, beam_splitter, objective)
+
+    @pytest.mark.parametrize("beam_splitter", [True, False])
+    @pytest.mark.parametrize("N, cutoff", [(16.0, 40), (50.0, 90)])
+    def test_fock_table_end_to_end(self, N, cutoff, beam_splitter):
+        # the whole pipeline fed by the Fock oracle's table
+        coup = preset_couplings("B9p116G", N)
+        init = InitialState(N_A=N)
+        taus = np.linspace(0.0, 8.0, 9)
+        closed = moment_table(coup, init, taus)
+        fock = fock_moment_table(coup, init, taus, cutoff=cutoff)
+        r = evaluate_criteria(closed, beam_splitter)
+        at = evaluate_criteria(fock, beam_splitter, theta=r.theta_opt)
+        for f in CRITERION_COLUMNS:
+            got, want = getattr(at, f), getattr(r, f)
+            floor = 1e-12 * np.abs(want).max()
+            assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want) + floor), f
+        s_closed, s_fock = (squeezing(m, optimal_angle(m)) for m in map(spin_moments, (closed, fock)))
+        assert np.all(np.abs(s_fock - s_closed) <= 1e-10 * np.abs(s_closed))
+        # identical wells tie θ and θ + π/2 without the splitter
+        period = math.pi if beam_splitter else 0.5 * math.pi
+        d = (evaluate_criteria(fock, beam_splitter).theta_opt - r.theta_opt) % period
+        assert np.all(np.minimum(d, period - d) <= 1e-7)
 
     def test_local_squeezing_rows(self):
         table = exact_table("B9p116G", 2000.0, np.linspace(0.0, 16.0, 9))

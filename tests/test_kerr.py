@@ -4,63 +4,66 @@ import math
 import numpy as np
 import pytest
 
-from twinwell.config import InitialState, preset_couplings
+from twinwell.config import InitialState, PhysicalCouplings, preset_couplings
 from twinwell.errors import TruncationError
-from twinwell.kerr import (
-    fock_oracle_moment,
-    fock_site_moment,
-    kerr_moment,
-    moment_table,
-    single_mode_expectation,
-    site_moment,
-    two_mode_first_moment,
-)
-from twinwell.operators import BASIS_INDEX, ModeMonomial
+from twinwell.kerr import fock_moment_table, fock_site_moment, moment_table, site_moment
+from twinwell.operators import BASIS_INDEX, key_dagger
 
 RATIOS = preset_couplings("B9p116G", 1.0)  # g11 = 1, ratio-scaled couplings
+A1 = (0, 0, 0, 0, 1, 0, 0, 0)  # a1
+A2 = (0, 0, 0, 0, 0, 1, 0, 0)  # a2
 
 
-def all_site_monomials(max_order=4):
-    return [
-        (p1, p2, q1, q2)
-        for p1 in range(max_order + 1)
-        for p2 in range(max_order + 1)
-        for q1 in range(max_order + 1)
-        for q2 in range(max_order + 1)
-        if 0 < p1 + p2 + q1 + q2 <= max_order
-    ]
+def two_mode_first_moment(alpha, couplings, i: int, tau: float) -> complex:
+    """<a_i(t)> for the split coherent state |α/√2>|α/√2>, as the paper
+    quotes it.
+
+    `alpha` is the pre-split amplitude (|alpha|² = mean total atom number).
+    """
+    if i not in (1, 2):
+        raise ValueError(f"mode index must be 1 or 2, got {i}")
+    gi1 = couplings.g11 if i == 1 else couplings.g12
+    gi2 = couplings.g12 if i == 1 else couplings.g22
+    alpha = complex(alpha)
+    half = 0.5 * (alpha.real * alpha.real + alpha.imag * alpha.imag)
+    return (
+        (alpha / math.sqrt(2.0))
+        * cmath.exp(half * (cmath.exp(-1j * gi1 * tau) - 1.0))
+        * cmath.exp(half * (cmath.exp(-1j * gi2 * tau) - 1.0))
+    )
+
+
+def max_rel_error(table, oracle):
+    return float(np.max(np.abs(table - oracle) / (np.abs(oracle) + 1e-12)))
 
 
 class TestSingleMode:
+    # <a(t)> for one Kerr mode prepared in |alpha>, the other mode empty
     def test_free_evolution(self):
-        assert single_mode_expectation(1.3 + 0.2j, 0.0, 5.0) == 1.3 + 0.2j
+        assert site_moment(0, 0, 1, 0, 1.3 + 0.2j, 0.0, 0.0, 0.0, 0.0, 5.0) == 1.3 + 0.2j
 
     def test_revival(self):
         alpha = 4.0  # |alpha|^2 = 16
         g = 0.37
-        got = single_mode_expectation(alpha, g, 2.0 * math.pi / g)
+        got = site_moment(0, 0, 1, 0, alpha, 0.0, g, 0.0, 0.0, 2.0 * math.pi / g)
         assert abs(got - alpha) < 1e-12
 
     def test_against_fock_oracle(self):
         alpha = 2.0  # |alpha|^2 = 4 in one mode, other mode empty
         g, t = 1.0, 0.1
-        closed = single_mode_expectation(alpha, g, t)
+        closed = site_moment(0, 0, 1, 0, alpha, 0.0, g, 0.0, 0.0, t)
         oracle = fock_site_moment(0, 0, 1, 0, alpha, 0.0, g, 0.0, 0.0, t, cutoff=60)
         assert abs(closed - oracle) < 1e-8
 
 
 class TestTwoModeFirstMoment:
     def test_zero_couplings(self):
-        from twinwell.config import PhysicalCouplings
-
         c = PhysicalCouplings(g11=1e-300, g12=0.0, g22=0.0)  # effectively free
         alpha = 3.0 + 1.0j
         got = two_mode_first_moment(alpha, c, 1, 1.0)
         assert abs(got - alpha / math.sqrt(2)) < 1e-12
 
     def test_revival_commensurate(self):
-        from twinwell.config import PhysicalCouplings
-
         c = PhysicalCouplings(g11=1.0, g12=2.0, g22=4.0)  # all phases 2*pi*k at t=2*pi
         alpha = 2.5
         t = 2.0 * math.pi
@@ -72,12 +75,12 @@ class TestTwoModeFirstMoment:
         alpha = 4.0  # |alpha|^2 = 16, per mode 8
         init = InitialState(N_A=16.0, N_B=16.0)
         tau = 0.05
-        for i, key in ((1, ModeMonomial.site_a(0, 0, 1, 0)), (2, ModeMonomial.site_a(0, 0, 0, 1))):
+        general = moment_table(RATIOS, init, [tau])[0, 0]
+        oracle = fock_moment_table(RATIOS, init, [tau], cutoff=50)[0, 0]
+        for i, key in ((1, A1), (2, A2)):
             quoted = two_mode_first_moment(alpha, RATIOS, i, tau)
-            general = kerr_moment(key, RATIOS, tau, init)
-            oracle = fock_oracle_moment(key, RATIOS, tau, init, cutoff=50)
-            assert abs(quoted - general) < 1e-12
-            assert abs(quoted - oracle) < 1e-8
+            assert abs(quoted - general[BASIS_INDEX[key]]) < 1e-12
+            assert abs(quoted - oracle[BASIS_INDEX[key]]) < 1e-8
 
     def test_bad_mode_index(self):
         with pytest.raises(ValueError):
@@ -87,111 +90,93 @@ class TestTwoModeFirstMoment:
 class TestKerrMoment:
     def test_number_operator_conserved(self):
         init = InitialState(N_A=8.0, N_B=8.0)
-        n1 = ModeMonomial.site_a(1, 0, 1, 0)
-        for tau in (0.0, 0.3, 2.0, 17.0):
-            assert kerr_moment(n1, RATIOS, tau, init) == pytest.approx(4.0, rel=1e-12)
+        n1 = BASIS_INDEX[(1, 0, 0, 0, 1, 0, 0, 0)]  # a1† a1
+        table = moment_table(RATIOS, init, (0.0, 0.3, 2.0, 17.0))
+        for v in table[:, 0, n1]:
+            assert v == pytest.approx(4.0, rel=1e-12)
 
     def test_coherent_overlap_at_zero_time(self):
         init = InitialState(N_A=8.0, N_B=8.0)
-        m = ModeMonomial.site_a(0, 1, 1, 0)  # a2† a1
-        assert kerr_moment(m, RATIOS, 0.0, init) == pytest.approx(4.0, rel=1e-14)
+        m = BASIS_INDEX[(0, 1, 0, 0, 1, 0, 0, 0)]  # a2† a1
+        assert moment_table(RATIOS, init, [0.0])[0, 0, m] == pytest.approx(4.0, rel=1e-14)
 
     def test_all_low_order_monomials_match_oracle(self):
         init = InitialState(N_A=16.0, N_B=16.0)  # |alpha|^2 = 8 per mode
         rng = np.random.default_rng(42)
         taus = rng.uniform(0.0, 0.2, 3)
         table = moment_table(RATIOS, init, taus)
-        for tau, row in zip(taus, table[:, 0]):
-            for m in all_site_monomials():
-                key = ModeMonomial.site_a(*m).key
-                a = row[BASIS_INDEX[key]]
-                b = fock_oracle_moment(key, RATIOS, tau, init, cutoff=50)
-                assert abs(a - b) / (abs(b) + 1e-12) < 1e-8
+        assert max_rel_error(table, fock_moment_table(RATIOS, init, taus, cutoff=50)) < 1e-8
 
     def test_oracle_equivalence_random_couplings(self):
-        # random (tau, coupling) draws, order <= 4, against the oracle
-        from twinwell.config import PhysicalCouplings
-
+        # random (tau, coupling) draws, the whole basis against the oracle
         init = InitialState(N_A=12.0, N_B=12.0)
         rng = np.random.default_rng(100)
-        mons = all_site_monomials()
         for _ in range(20):
             coup = PhysicalCouplings(
                 g11=float(rng.uniform(0.2, 2.0)),
                 g12=float(rng.uniform(0.0, 2.0)),
                 g22=float(rng.uniform(0.0, 2.0)),
             )
-            tau = float(rng.uniform(0.0, 0.3))
-            for m in (mons[i] for i in rng.integers(0, len(mons), 12)):
-                key = ModeMonomial.site_a(*m).key
-                a = kerr_moment(key, coup, tau, init)
-                b = fock_oracle_moment(key, coup, tau, init, cutoff=45)
-                assert abs(a - b) / (abs(b) + 1e-12) < 1e-8
+            tau = [float(rng.uniform(0.0, 0.3))]
+            table = moment_table(coup, init, tau)
+            assert max_rel_error(table, fock_moment_table(coup, init, tau, cutoff=45)) < 1e-8
 
     def test_conjugation_symmetry(self):
         init = InitialState(N_A=8.0, N_B=8.0)
         rng = np.random.default_rng(3)
-        for m in all_site_monomials():
-            tau = float(rng.uniform(0.0, 1.0))
-            mono = ModeMonomial.site_a(*m)
-            a = kerr_moment(mono, RATIOS, tau, init)
-            b = kerr_moment(mono.dagger(), RATIOS, tau, init)
-            assert a == b.conjugate()
+        table = moment_table(RATIOS, init, rng.uniform(0.0, 1.0, 8))
+        for key, i in BASIS_INDEX.items():
+            assert np.array_equal(table[:, 0, i], table[:, 0, BASIS_INDEX[key_dagger(key)]].conj())
 
     def test_number_conserving_monomials_are_static(self):
         init = InitialState(N_A=8.0, N_B=8.0)
-        for (p1, p2, q1, q2) in all_site_monomials():
-            if p1 != q1 or p2 != q2:
-                continue
-            mono = ModeMonomial.site_a(p1, p2, q1, q2)
-            v0 = kerr_moment(mono, RATIOS, 0.0, init)
-            v1 = kerr_moment(mono, RATIOS, 0.77, init)
-            assert abs(v0 - v1) < 1e-10 * (abs(v0) + 1.0)
+        v0, v1 = moment_table(RATIOS, init, (0.0, 0.77))[:, 0]
+        for key, i in BASIS_INDEX.items():
+            if key[:4] == key[4:]:
+                assert abs(v0[i] - v1[i]) < 1e-10 * (abs(v0[i]) + 1.0), key
 
     def test_cross_site_factorization(self):
         init = InitialState(N_A=8.0, N_B=18.0)
         tau = 0.13
-        a_part = (1, 0, 0, 1)
-        b_part = (0, 1, 1, 0)
-        cross = (1, 0, 0, 1, 0, 1, 1, 0)  # a1† b2† a2 b1
-        va = kerr_moment(ModeMonomial.site_a(*a_part), RATIOS, tau, init)
-        vb = kerr_moment(ModeMonomial.site_b(*b_part), RATIOS, tau, init)
-        vc = kerr_moment(cross, RATIOS, tau, init)
-        assert vc == pytest.approx(va * vb, rel=1e-12)
+        g = (RATIOS.g11, RATIOS.g12, RATIOS.g22)
+        va = site_moment(1, 0, 0, 1, init.alpha_a, init.alpha_a, *g, tau)  # a1† a2
+        vb = site_moment(0, 1, 1, 0, init.alpha_b, init.alpha_b, *g, tau)  # b2† b1
+        cross = BASIS_INDEX[(1, 0, 0, 1, 0, 1, 1, 0)]  # a1† b2† a2 b1
+        assert moment_table(RATIOS, init, [tau])[0, 0, cross] == pytest.approx(va * vb, rel=1e-12)
 
     def test_table_matches_per_monomial_moments(self):
         # the vectorised table against per-key, per-tau evaluation, both wells
         init = InitialState(N_A=8.0, N_B=18.0, phase=0.4)
         taus = (0.0, 0.13, 2.5)
+        g = (RATIOS.g11, RATIOS.g12, RATIOS.g22)
         table = moment_table(RATIOS, init, taus)
         assert table.shape == (3, 1, len(BASIS_INDEX))
         for key, i in BASIS_INDEX.items():
+            a_part, b_part = key[0:2] + key[4:6], key[2:4] + key[6:8]
             for t, tau in enumerate(taus):
-                want = kerr_moment(key, RATIOS, tau, init)
+                want = 1.0 + 0j
+                for part, alpha in ((a_part, init.alpha_a), (b_part, init.alpha_b)):
+                    if any(part):
+                        want *= complex(site_moment(*part, alpha, alpha, *g, tau))
                 assert table[t, 0, i] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 class TestFockOracle:
     def test_first_moment_at_zero_time(self):
         init = InitialState(N_A=8.0, N_B=8.0)
-        m = ModeMonomial.site_a(0, 0, 1, 0)
-        got = fock_oracle_moment(m, RATIOS, 0.0, init, cutoff=50)
+        got = fock_moment_table(RATIOS, init, [0.0], cutoff=50)[0, 0, BASIS_INDEX[A1]]
         assert abs(got - init.alpha_a) < 1e-10
 
     def test_product_of_conserved_numbers(self):
         init = InitialState(N_A=8.0, N_B=8.0)  # per-mode mean 4
-        m = ModeMonomial.site_a(1, 1, 1, 1)  # a1† a1 a2† a2 normal ordered
-        for tau in (0.0, 0.4):
-            got = fock_oracle_moment(m, RATIOS, tau, init, cutoff=50)
+        m = BASIS_INDEX[(1, 1, 0, 0, 1, 1, 0, 0)]  # a1† a1 a2† a2 normal ordered
+        for got in fock_moment_table(RATIOS, init, (0.0, 0.4), cutoff=50)[:, 0, m]:
             assert got == pytest.approx(16.0, rel=1e-10)
 
     def test_revival(self):
-        from twinwell.config import PhysicalCouplings
-
         c = PhysicalCouplings(g11=1.0, g12=2.0, g22=3.0)
         init = InitialState(N_A=8.0, N_B=8.0)
-        m = ModeMonomial.site_a(0, 0, 1, 0)
-        got = fock_oracle_moment(m, c, 2.0 * math.pi, init, cutoff=60)
+        got = fock_moment_table(c, init, [2.0 * math.pi], cutoff=60)[0, 0, BASIS_INDEX[A1]]
         assert abs(got - init.alpha_a) < 1e-8
 
     def test_truncation_error_carries_tail(self):

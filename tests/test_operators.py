@@ -2,22 +2,44 @@ import numpy as np
 import pytest
 
 from twinwell.operators import (
+    BASIS_INDEX,
+    BASIS_KEYS,
+    MAX_ORDER,
+    NBASIS,
     SITE_A,
     SITE_B,
     SITE_C,
     SITE_D,
-    ModeMonomial,
     ModeVector,
     NormalPoly,
-    annihilation,
     beam_splitter,
     bilinear,
     component2_charge,
-    creation,
-    number_operator,
+    key_dagger,
     raising_bilinear,
     spin_operators,
 )
+
+
+def creation(mode: int) -> NormalPoly:
+    p = [0] * 8
+    p[mode] = 1
+    return NormalPoly({tuple(p): 1.0 + 0j})
+
+
+def annihilation(mode: int) -> NormalPoly:
+    q = [0] * 8
+    q[4 + mode] = 1
+    return NormalPoly({tuple(q): 1.0 + 0j})
+
+
+def constant(c) -> NormalPoly:
+    return NormalPoly({(0,) * 8: complex(c)})
+
+
+def number_operator(site) -> NormalPoly:
+    m1, m2 = site
+    return bilinear(m1, m1) + bilinear(m2, m2)
 
 
 def poly_close(a: NormalPoly, b: NormalPoly, tol=1e-14) -> bool:
@@ -56,7 +78,7 @@ class TestNormalOrdering:
     def test_commutator(self):
         # a a† = a† a + 1 after normal ordering
         got = annihilation(0) * creation(0)
-        want = creation(0) * annihilation(0) + NormalPoly.constant(1.0)
+        want = creation(0) * annihilation(0) + constant(1.0)
         assert poly_close(got, want)
 
     def test_product_against_fock_matrices(self):
@@ -173,10 +195,11 @@ class TestSpinOperators:
         assert raising_bilinear(SITE_A).terms == {(0, 1, 0, 0, 1, 0, 0, 0): 1.0 + 0j}
 
 
-class TestModeMonomial:
-    def test_constructors_and_dagger(self):
-        m = ModeMonomial.site_a(1, 2, 0, 1)
-        assert m.key == (1, 2, 0, 0, 0, 1, 0, 0)
-        assert m.order == 4
-        assert m.dagger().key == (0, 1, 0, 0, 1, 2, 0, 0)
-        assert ModeMonomial.site_b(0, 1, 1, 0).key == (0, 0, 0, 1, 0, 0, 1, 0)
+class TestMonomialKeys:
+    def test_key_dagger_and_basis(self):
+        key = (1, 2, 0, 0, 0, 1, 0, 0)  # a1† a2†² a2
+        assert key_dagger(key) == (0, 1, 0, 0, 1, 2, 0, 0)
+        assert len(BASIS_KEYS) == NBASIS == 495
+        for i, k in enumerate(BASIS_KEYS):
+            assert BASIS_INDEX[k] == i and sum(k) <= MAX_ORDER
+            assert key_dagger(k) in BASIS_INDEX and key_dagger(key_dagger(k)) == k

@@ -5,8 +5,7 @@ import pytest
 
 from twinwell.config import InitialState, preset_couplings
 from twinwell.errors import DegenerateReferenceError
-from twinwell.kerr import fock_oracle_moment, moment_table
-from twinwell.operators import BASIS_KEYS, NBASIS
+from twinwell.kerr import fock_moment_table, moment_table
 from twinwell.spins import (
     SITE_B,
     SpinMoments,
@@ -60,18 +59,11 @@ class TestFockPipeline:
         N = 200.0
         coup = preset_couplings("B9p116G", N)
         init = InitialState(N_A=N)
-        for tau in (0.04, 2.0):
-            closed = spin_moments(moment_table(coup, init, [tau]))
-            # site-A spins read only monomials without well-B factors
-            fock = np.zeros((1, 1, NBASIS), dtype=complex)
-            for i, key in enumerate(BASIS_KEYS):
-                if not any(key[2:4] + key[6:8]):
-                    fock[0, 0, i] = fock_oracle_moment(key, coup, tau, init, cutoff=210)
-            oracle = spin_moments(fock)
-            for f in ("mean_JY", "mean_JZ", "var_JZ", "var_JX", "cov_ZX"):
-                assert getattr(oracle, f) == pytest.approx(
-                    getattr(closed, f), rel=1e-7, abs=1e-7
-                )
+        taus = (0.04, 2.0)
+        closed = spin_moments(moment_table(coup, init, taus))
+        oracle = spin_moments(fock_moment_table(coup, init, taus, cutoff=210))
+        for f in ("mean_JY", "mean_JZ", "var_JZ", "var_JX", "cov_ZX"):
+            assert getattr(oracle, f) == pytest.approx(getattr(closed, f), rel=1e-7, abs=1e-7)
 
 
 class TestOptimalAngle:
