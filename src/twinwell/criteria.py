@@ -39,14 +39,14 @@ from .operators import (
     raising_bilinear,
     spin_operators,
 )
-from .spins import delta_theta_from, phase_factor_from
+from .spins import _fold_angle, delta_theta_from, phase_factor_from
 
-_TINY = 1e-300
-GOLDEN_TOL = 1e-12
-# a scan whose spread is at most FLAT_TOL times its largest value is flat
+# samples of the angle objective over one period of φ = 2θ: enough for
+# the Fourier coefficients of n'd − nd', of degree at most 6 in φ
+N_SAMPLE = 16
+# samples whose spread is at most FLAT_TOL times their largest value are flat
 FLAT_TOL = 1e-8
-# taus per block of the angle scan: bounds its (block, n_scan) temporaries
-SCAN_BLOCK = 8
+TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -192,69 +192,61 @@ def _combos(mode: str, V, theta):
     }
 
 
-def _objective(mode: str, V, theta, objective: str):
+def _num_den(mode: str, V, theta, objective: str):
+    """The angle objective at θ as num/den: the product of the inference
+    variances at θ and θ + π/2, plain (den = 1) or gain-optimized."""
     a = _combos(mode, V, theta)
     b = _combos(mode, V, theta + 0.5 * math.pi)
     if objective == "epr":
-        v1 = a["var_C"] - a["cov"] ** 2 / np.maximum(a["var_D"], _TINY)
-        v2 = b["var_C"] - b["cov"] ** 2 / np.maximum(b["var_D"], _TINY)
-        return v1 * v2
-    return a["v_minus"] * b["v_plus"]
+        det_a = a["var_C"] * a["var_D"] - a["cov"] ** 2
+        det_b = b["var_C"] * b["var_D"] - b["cov"] ** 2
+        return det_a * det_b, a["var_D"] * b["var_D"]
+    return a["v_minus"] * b["v_plus"], np.ones_like(a["v_minus"])
 
 
-def optimal_theta(V, mode: str, objective: str = "product", n_scan: int = 720) -> np.ndarray:
-    """Angles minimizing the joint inference-variance product, one per
-    covariance matrix of V (shape (n_tau, 4, 4)).
+def optimal_theta(V, mode: str, objective: str = "product") -> np.ndarray:
+    """Angles in (-pi/2, pi/2] minimizing the joint inference-variance
+    product, one per covariance matrix of V (shape (n_tau, 4, 4)).
 
-    Dense scan over (-pi/2, pi/2), then golden-section refinement of each
-    winning bracket (the objective is smooth and pi-periodic).  All
-    brackets are refined together; each stops once narrower than
-    GOLDEN_TOL.  The angle is returned in (-pi/2, pi/2].  The "epr"
-    objective is exactly pi/2-periodic (θ and θ + π/2 swap its two
-    factors), so its two equal minima are told apart by rounding alone;
-    its angle is folded into (-pi/4, pi/4] to pick one of them.  Where
-    the scan is flat (the initial coherent state at tau = 0) rounding
-    alone would pick the angle, so it is 0 there.
+    Every variance is s0 + s1 cos 2θ + s2 sin 2θ, so num and den are
+    trigonometric polynomials in φ = 2θ, and the objective is stationary
+    at the real roots of n'd − nd', found for all rows at once as
+    companion-matrix eigenvalues in z = e^{iφ} and polished by Newton
+    steps.  Where θ ∓ π/2 is within TIE_TOL of the best root (the
+    objective repeats every π/2 for "epr", and for "product" when the
+    sites are uncorrelated) the smaller |θ| wins, π/4 over −π/4.  Where
+    the samples are flat (the initial coherent state at tau = 0) rounding
+    alone would pick the angle, so it is 0.
     """
-    f = lambda x: _objective(mode, V, x, objective)
-    grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_scan, endpoint=False)
-    i = np.empty(len(V), dtype=np.intp)
-    flat = np.empty(len(V), dtype=bool)
-    for k in range(0, len(V), SCAN_BLOCK):
-        y = _objective(mode, V[k : k + SCAN_BLOCK, None], grid, objective)
-        i[k : k + SCAN_BLOCK] = np.argmin(y, axis=-1)
-        flat[k : k + SCAN_BLOCK] = np.ptp(y, axis=-1) <= FLAT_TOL * np.abs(y).max(axis=-1)
-    step = math.pi / n_scan
-    a, b = grid[i] - step, grid[i] + step
-    inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    active = b - a >= GOLDEN_TOL
-    for _ in range(64):
-        if not active.any():
-            break
-        left = active & (fc <= fd)  # keep [a, d]: c becomes d, probe a new c
-        right = active & ~(fc <= fd)  # keep [c, b]: d becomes c, probe a new d
-        b = np.where(left, d, b)
-        a = np.where(right, c, a)
-        x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
-        fx = f(x)
-        c, d, fc, fd = (
-            np.where(left, x, np.where(right, d, c)),
-            np.where(left, c, np.where(right, x, d)),
-            np.where(left, fx, np.where(right, fd, fc)),
-            np.where(left, fc, np.where(right, fx, fd)),
-        )
-        active &= b - a >= GOLDEN_TOL
-    theta = 0.5 * (a + b)
-    half = 0.25 * math.pi if objective == "epr" else 0.5 * math.pi
-    theta = np.where(
-        theta <= -half,
-        theta + 2.0 * half,
-        np.where(theta > half, theta - 2.0 * half, theta),
-    )
-    return np.where(flat, 0.0, theta)
+    theta = np.zeros(len(V))
+    num, den = _num_den(mode, V[:, None], np.pi / N_SAMPLE * np.arange(N_SAMPLE), objective)
+    f = num / den
+    live = np.ptp(f, axis=-1) > FLAT_TOL * np.abs(f).max(axis=-1)
+    V, num, den = V[live], num[live], den[live]
+    m = np.arange(N_SAMPLE // 2 + 1)
+    deriv = lambda x: np.fft.irfft(1j * m * np.fft.rfft(x), N_SAMPLE)
+    g = np.fft.rfft(deriv(num) * den - num * deriv(den)) / N_SAMPLE
+    deg = 6 if objective == "epr" else 2
+    # z^deg Σ_{|k| <= deg} g_k z^k, highest power first, g_{-k} = conj(g_k)
+    coef = np.concatenate([g[:, deg:0:-1], g[:, : deg + 1].conj()], axis=1)
+    companion = np.zeros((len(V), 2 * deg, 2 * deg), dtype=complex)
+    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+    companion[:, np.arange(1, 2 * deg), np.arange(2 * deg - 1)] = 1.0
+    phi = np.angle(np.linalg.eigvals(companion))
+    k = np.arange(1, deg + 1)
+    for _ in range(3):
+        terms = g[:, None, 1 : deg + 1] * np.exp(1j * k * phi[..., None])
+        val = g[:, None, 0].real + 2.0 * terms.real.sum(axis=-1)
+        slope = -2.0 * (k * terms.imag).sum(axis=-1)
+        phi = phi - np.divide(val, slope, out=np.zeros_like(val), where=slope != 0.0)
+    cand = _fold_angle(0.5 * phi)
+    f = np.divide(*_num_den(mode, V[:, None], cand, objective))
+    best = cand[np.arange(len(V)), np.argmin(f, axis=1)]
+    alt = _fold_angle(best + 0.5 * math.pi)
+    f0, f1 = np.divide(*_num_den(mode, V, np.stack([best, alt]), objective))
+    closer = (np.abs(alt) < np.abs(best)) | ((np.abs(alt) == np.abs(best)) & (alt > 0.0))
+    theta[live] = np.where((np.abs(f1 - f0) <= TIE_TOL * np.abs(f0)) & closer, alt, best)
+    return theta
 
 
 def joint_moments(

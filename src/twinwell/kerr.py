@@ -141,25 +141,10 @@ def default_fock_cutoff(nbar: float) -> int:
     return max(10, int(math.ceil(nbar + 10.0 * math.sqrt(max(nbar, 1.0)))))
 
 
-def fock_site_moment(
-    p1: int,
-    p2: int,
-    q1: int,
-    q2: int,
-    alpha1,
-    alpha2,
-    g11: float,
-    g12: float,
-    g22: float,
-    tau: float,
-    cutoff: int | None = None,
-    tail_tol: float = 1e-10,
-) -> complex:
-    """Truncated Fock-basis oracle for `site_moment`.
-
-    Builds the coherent amplitude table, applies the diagonal phases
-    exp[-i tau (g11 n1(n1-1)/2 + g12 n1 n2 + g22 n2(n2-1)/2)] and sums
-    the monomial matrix elements directly (numpy pairwise summation).
+def _fock_state(alpha1, alpha2, g11, g12, g22, taus, cutoff=None, tail_tol=1e-10):
+    """Truncated Fock amplitudes of one well's coherent state, with the
+    diagonal phases exp[-i tau (g11 n1(n1-1)/2 + g12 n1 n2 + g22 n2(n2-1)/2)]
+    at each of `taus`: (log-factorials, psi of shape (n_tau, cutoff+1, cutoff+1)).
     Raises TruncationError, carrying the tail mass, if the cutoff leaves
     more than `tail_tol` probability outside the basis.
     """
@@ -190,35 +175,58 @@ def fock_site_moment(
     n1 = n[:, None]
     n2 = n[None, :]
     theta = 0.5 * g11 * n1 * (n1 - 1) + g12 * n1 * n2 + 0.5 * g22 * n2 * (n2 - 1)
-    psi = c1[:, None] * c2[None, :] * np.exp(-1j * tau * theta)
+    taus = np.asarray(taus, dtype=float)[:, None, None]
+    return log_fact, c1[:, None] * c2[None, :] * np.exp(-1j * taus * theta)
 
+
+def _fock_sum(state, p1: int, p2: int, q1: int, q2: int) -> np.ndarray:
+    """(n_tau,) <a1†^p1 a2†^p2 a1^q1 a2^q2> from a `_fock_state`, summing
+    the monomial matrix elements directly (numpy pairwise summation)."""
+    log_fact, psi = state
+    cutoff = len(log_fact) - 1
     kmax1 = cutoff - max(p1, q1)
     kmax2 = cutoff - max(p2, q2)
     if kmax1 < 0 or kmax2 < 0:
         raise TruncationError(1.0, cutoff)
-    k1 = np.arange(kmax1 + 1)
-    k2 = np.arange(kmax2 + 1)
     # <k+p| a†^p e^{...} a^q |k+q> ladder factors, in log space
-    f1 = np.exp(
-        0.5 * (log_fact[k1 + q1] - log_fact[k1]) + 0.5 * (log_fact[k1 + p1] - log_fact[k1])
+    f1, f2 = (
+        np.exp(0.5 * (log_fact[k + q] - log_fact[k]) + 0.5 * (log_fact[k + p] - log_fact[k]))
+        for k, p, q in ((np.arange(kmax1 + 1), p1, q1), (np.arange(kmax2 + 1), p2, q2))
     )
-    f2 = np.exp(
-        0.5 * (log_fact[k2 + q2] - log_fact[k2]) + 0.5 * (log_fact[k2 + p2] - log_fact[k2])
-    )
-    bra = psi[p1 : p1 + kmax1 + 1, p2 : p2 + kmax2 + 1].conj()
-    ket = psi[q1 : q1 + kmax1 + 1, q2 : q2 + kmax2 + 1]
-    return complex(np.sum(bra * ket * f1[:, None] * f2[None, :]))
+    bra = psi[:, p1 : p1 + kmax1 + 1, p2 : p2 + kmax2 + 1].conj()
+    ket = psi[:, q1 : q1 + kmax1 + 1, q2 : q2 + kmax2 + 1]
+    return (bra * ket * f1[:, None] * f2[None, :]).reshape(len(psi), -1).sum(axis=1)
+
+
+def fock_site_moment(
+    p1: int,
+    p2: int,
+    q1: int,
+    q2: int,
+    alpha1,
+    alpha2,
+    g11: float,
+    g12: float,
+    g22: float,
+    tau: float,
+    cutoff: int | None = None,
+    tail_tol: float = 1e-10,
+) -> complex:
+    """Truncated Fock-basis oracle for `site_moment` at one time."""
+    state = _fock_state(alpha1, alpha2, g11, g12, g22, [tau], cutoff, tail_tol)
+    return complex(_fock_sum(state, p1, p2, q1, q2)[0])
 
 
 def fock_moment_table(couplings, initial, taus, cutoff: int | None = None) -> np.ndarray:
-    """Oracle counterpart of `moment_table`, filled by `fock_site_moment`
-    one time at a time."""
+    """Oracle counterpart of `moment_table`: the Fock state is built once
+    per coherent amplitude for all times, and each well part summed on it."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     c = couplings
-    return _tabulate(
-        initial,
-        taus.size,
-        lambda p, alpha: np.array(
-            [fock_site_moment(*p, alpha, alpha, c.g11, c.g12, c.g22, t, cutoff) for t in taus]
-        ),
-    )
+    states = {}
+
+    def site(p, alpha):
+        if alpha not in states:
+            states[alpha] = _fock_state(alpha, alpha, c.g11, c.g12, c.g22, taus, cutoff)
+        return _fock_sum(states[alpha], *p)
+
+    return _tabulate(initial, taus.size, site)

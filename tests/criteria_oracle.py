@@ -4,8 +4,10 @@ At every tau the operators are built at that tau's phase factor, and
 each expectation is summed term by term by `NormalPoly.expectation`
 (compensated, independent of term order).  With the beam splitter the
 post-splitter spin operators are expanded head-on, without the
-sum/difference regrouping the package uses.  The angle search and the
-gains are the scalar originals.  Nothing here is vectorised over tau.
+sum/difference regrouping the package uses.  The angle search is a dense
+scan of the objective, then scalar golden-section refinement of the best
+bracket; the gains are the scalar originals.  Nothing here is vectorised
+over tau.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ def _phase_factor(w: complex) -> complex:
 
 
 def _combos(V, theta):
-    """Site C/D variances and covariance at angle theta, and J_C ∓ J_D."""
-    c, s = math.cos(theta), math.sin(theta)
+    """Site C/D variances and covariance at angle theta (a scalar or an
+    array of angles), and J_C ∓ J_D."""
+    c, s = np.cos(theta), np.sin(theta)
 
     def quad(i, j):
         return c * c * V[i, j] + s * s * V[i + 1, j + 1] + c * s * (V[i, j + 1] + V[i + 1, j])
@@ -74,18 +77,19 @@ def _objective(V, theta, objective):
     a = _combos(V, theta)
     b = _combos(V, theta + 0.5 * math.pi)
     if objective == "epr":
-        v1 = a["var_C"] - a["cov"] ** 2 / max(a["var_D"], 1e-300)
-        v2 = b["var_C"] - b["cov"] ** 2 / max(b["var_D"], 1e-300)
+        v1 = a["var_C"] - a["cov"] ** 2 / np.maximum(a["var_D"], 1e-300)
+        v2 = b["var_C"] - b["cov"] ** 2 / np.maximum(b["var_D"], 1e-300)
         return v1 * v2
     return a["v_minus"] * b["v_plus"]
 
 
 def optimal_theta(V, objective="product", n_scan=720):
     """Scan, then scalar golden-section refinement of the best bracket;
-    0 where the scan's spread is at most 1e-8 of its largest value."""
+    0 where the scan's spread is at most 1e-8 of its largest value.  The
+    angle is in (-pi/2, pi/2], with ties broken by rounding alone."""
     grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_scan, endpoint=False)
-    values = [_objective(V, t, objective) for t in grid]
-    if max(values) - min(values) <= 1e-8 * max(abs(v) for v in values):
+    values = _objective(V, grid, objective)
+    if np.ptp(values) <= 1e-8 * np.abs(values).max():
         return 0.0
     i = int(np.argmin(values))
     step = math.pi / n_scan

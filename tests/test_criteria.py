@@ -1,10 +1,19 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import criteria_oracle as oracle
-from twinwell.config import InitialState, LossRates, SimConfig, SweepParams, preset_couplings
+from twinwell.config import (
+    InitialState,
+    LossRates,
+    SimConfig,
+    SweepParams,
+    load_config,
+    preset_couplings,
+)
 from twinwell.criteria import (
     GainPair,
     JointSpinMoments,
@@ -17,9 +26,20 @@ from twinwell.criteria import (
 )
 from twinwell.errors import DegenerateReferenceError
 from twinwell.kerr import fock_moment_table, moment_table
-from twinwell.spins import optimal_angle, spin_moments, squeezing
+from twinwell.operators import (
+    SITE_A,
+    SITE_B,
+    SITE_C,
+    SITE_D,
+    CompiledPolys,
+    raising_bilinear,
+    spin_operators,
+)
+from twinwell.spins import optimal_angle, phase_factor_from, spin_moments, squeezing
 from twinwell.sweeps import criteria_row
 from twinwell.wigner import run_ensemble
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def exact_table(tag, N, taus, **initial):
@@ -97,6 +117,19 @@ class TestRouteEquivalence:
 CRITERION_COLUMNS = ("S_minus", "S_plus", "E_product", "E_EPR_product", "duan_sum")
 
 
+def cd_covariances(table, beam_splitter):
+    """Merged-ensemble covariances of (J_C^Z, J_C^X, J_D^Z, J_D^X), (n_tau, 4, 4),
+    from the head-on spin operators, in the layout the oracle's angle search takes."""
+    site_c, site_d = (SITE_C, SITE_D) if beam_splitter else (SITE_A, SITE_B)
+    table = table[:, :1]
+    pf = phase_factor_from(CompiledPolys([raising_bilinear(site_c)]).expectations(table)[:, 0, 0])
+    (cx, _, cz), (dx, _, dz) = spin_operators(site_c), spin_operators(site_d)
+    ops = [cz, cx, dz, dx]
+    sym = [0.5 * (a * b + b * a) for a in ops for b in ops]
+    e = CompiledPolys(ops + sym).expectations(table, pf).real[:, 0]
+    return e[:, 4:].reshape(-1, 4, 4) - e[:, :4, None] * e[:, None, :4]
+
+
 def assert_compiled_matches_oracle(r, table, beam_splitter, objective, theta):
     """Compiled criteria for every tau and ensemble row of `table` against
     the per-tau oracle.
@@ -155,24 +188,27 @@ class TestCompiledAgainstOracle:
             assert s_local[i] == pytest.approx(want, rel=1e-10)
 
     def test_epr_angle_stable_under_rounding_noise(self):
-        # the epr objective has two exactly equal minima, θ and θ + π/2;
-        # rounding noise alone must not pick a different one, or
-        # theta_opt, S_minus, S_plus, E_product and duan_sum jump
+        # θ and θ + π/2 are exactly equal minima of the epr objective, and
+        # of the plain product without the splitter (the sites stay
+        # uncorrelated); rounding noise alone must not pick a different
+        # one, or theta_opt, S_minus, S_plus, E_product and duan_sum jump
         table = exact_table("B9p116G", 200.0, np.linspace(0.0, 16.0, 33))
-        r0 = evaluate_criteria(table, objective="epr")
-        assert np.all(np.abs(r0.theta_opt) <= 0.25 * math.pi)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            noisy = table * (1.0 + 1e-15 * rng.standard_normal(table.shape))
-            r = evaluate_criteria(noisy, objective="epr")
-            # measured: θ moves by up to 1.6e-7 on the flat optimum, and
-            # E_product by 1.6e-10; at tau = 0 the objective is flat in θ
-            # and the angle is undetermined
-            assert np.all(np.abs(r.theta_opt - r0.theta_opt)[1:] <= 1e-6)
-            for f in CRITERION_COLUMNS:
-                got, want = getattr(r, f), getattr(r0, f)
-                assert np.all(np.abs(got - want) <= 1e-8 * (1.0 + np.abs(want))), f
+        for beam_splitter, objective in ((True, "epr"), (False, "product")):
+            r0 = evaluate_criteria(table, beam_splitter, objective=objective)
+            assert np.all(np.abs(r0.theta_opt) <= 0.25 * math.pi)
+            rng = np.random.default_rng(0)
+            for _ in range(20):
+                noisy = table * (1.0 + 1e-15 * rng.standard_normal(table.shape))
+                r = evaluate_criteria(noisy, beam_splitter, objective=objective)
+                # measured: θ moves by up to 5.7e-10 (epr) and 8.9e-12
+                # (product), the criteria by up to 3.9e-11; at tau = 0 the
+                # objective is flat in θ and the angle is 0 by rule
+                assert np.all(np.abs(r.theta_opt - r0.theta_opt)[1:] <= 1e-6), objective
+                for f in CRITERION_COLUMNS:
+                    got, want = getattr(r, f), getattr(r0, f)
+                    assert np.all(np.abs(got - want) <= 1e-8 * (1.0 + np.abs(want))), (objective, f)
         # at tau = 0 the objective is flat in θ, and the angle is 0 by rule
+        rng = np.random.default_rng(1)
         for N in (200.0, 2000.0):
             t0 = exact_table("B9p116G", N, 0.0)
             for table in (t0, t0 * (1.0 + 1e-15 * rng.standard_normal(t0.shape))):
@@ -180,6 +216,26 @@ class TestCompiledAgainstOracle:
                     for objective in ("product", "epr"):
                         r = evaluate_criteria(table, beam_splitter, objective=objective)
                         assert r.theta_opt[0] == 0.0, (N, beam_splitter, objective)
+
+    def test_objective_no_higher_than_oracle_scan(self):
+        # the oracle's dense scan and golden section, on the same covariance
+        # matrices, never finds a lower objective than the compiled angle
+        cfg = load_config(CONFIGS / "two_step_n2000.json")
+        tables = [moment_table(cfg.couplings, cfg.initial, np.asarray(cfg.sweep.taus))]
+        for name in ("dynamic_strong_tunneling.json", "two_step_losses_n2000.json"):
+            cfg = load_config(CONFIGS / name)
+            params = dataclasses.replace(cfg.wigner, n_traj=400, chunk_size=100)
+            run = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, cfg.sweep.taus[:4], params)
+            tables.append(run.moment_table())
+        for table in tables:
+            for beam_splitter in (True, False):
+                V = cd_covariances(table, beam_splitter)
+                for objective in ("product", "epr"):
+                    theta = evaluate_criteria(table, beam_splitter, objective=objective).theta_opt
+                    for i, v in enumerate(V):
+                        got = oracle._objective(v, theta[i], objective)
+                        want = oracle._objective(v, oracle.optimal_theta(v, objective), objective)
+                        assert got <= want + 1e-11 * abs(want), (i, beam_splitter, objective)
 
     @pytest.mark.parametrize("beam_splitter", [True, False])
     @pytest.mark.parametrize("N, cutoff", [(16.0, 40), (50.0, 90)])
