@@ -25,7 +25,7 @@ SCATTERING_RATIOS = {
 }
 PRESET_TAGS = ("B9p116G", "B9p086G", "NoCrossCoupling")
 
-STEPPERS = ("midpoint", "euler-maruyama")
+STEPPERS = ("midpoint",)
 LINEAR_LOSS_MODES = ("symmetric", "printed", "operators")
 THETA_OBJECTIVES = ("product", "epr")
 

@@ -19,6 +19,16 @@ bit-reproducible and independent of scheduling.  A run keeps one sum of
 monomials per chunk and output time; the chunk sums of half-ensembles
 concatenate into exactly those of the full ensemble.
 
+Memory layout: the state is an (n_traj, 4) array stored column-major, so
+each mode's trajectories are contiguous and `z.T.reshape(2, 2, n_traj)`
+is a view indexed (species, well, trajectory), species 1 = (α1, β1) and
+species 2 = (α2, β2).  `drift` and `_noise_term` act on that view as a
+whole: tunneling swaps the well axis, the Kerr and two-body loss rates
+combine the species axis.  The per-chunk monomial tables are
+column-major too, so every product and per-column sum is contiguous.
+The noise increments stay in the Philox stream's order (trajectory,
+column, re/im), drawn in place and read as complex.
+
 Linear-loss placement is configurable (`linear_loss_mode`):
 
   "symmetric"  loss at rate γ1 on all four modes (default),
@@ -84,12 +94,15 @@ def _cahill_matrix() -> np.ndarray:
 CAHILL = _cahill_matrix()
 
 
-def monomial_columns(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(n, NBASIS) table of conj(z)^p z^q monomial values for each trajectory."""
+def monomial_columns(z: np.ndarray) -> np.ndarray:
+    """(n, NBASIS) table of conj(z)^p z^q monomial values for each trajectory.
+
+    Built column by column in column-major order, so every product and
+    the per-column sums run over contiguous memory.
+    """
     n = z.shape[0]
-    if out is None:
-        out = np.empty((n, NBASIS), dtype=complex)
-    var8 = np.empty((n, 8), dtype=complex)
+    out = np.empty((n, NBASIS), dtype=complex, order="F")
+    var8 = np.empty((n, 8), dtype=complex, order="F")
     for m, col in enumerate(MODE_TO_ZCOL):
         var8[:, m] = np.conj(z[:, col])
         var8[:, 4 + m] = z[:, col]
@@ -125,10 +138,6 @@ class WignerMomentSource:
 # dynamics
 
 
-def _abs2(x: np.ndarray) -> np.ndarray:
-    return x.real * x.real + x.imag * x.imag
-
-
 def _linear_loss_cols(mode: str):
     if mode == "symmetric":
         return (0, 1, 2, 3)
@@ -143,32 +152,43 @@ def n_noise_columns(mode: str) -> int:
     return 4 + len(_linear_loss_cols(mode))
 
 
+def _modes(z: np.ndarray) -> np.ndarray:
+    """(species, well, traj) array of an (n, 4) state, `z.T.reshape(2, 2, n)`,
+    contiguous: a view of a column-major state, a copy of any other."""
+    return np.ascontiguousarray(z.T).reshape(2, 2, -1)
+
+
 def drift(
     z: np.ndarray,
     couplings: PhysicalCouplings,
     losses: LossRates,
     linear_loss_mode: str = "symmetric",
 ) -> np.ndarray:
-    """Deterministic part a = -i a_drift - a_loss of the phase-space flow."""
-    a1, b1, a2, b2 = z[..., 0], z[..., 1], z[..., 2], z[..., 3]
-    na1, nb1, na2, nb2 = _abs2(a1), _abs2(b1), _abs2(a2), _abs2(b2)
-    g11, g12, g22 = couplings.g11, couplings.g12, couplings.g22
-    k1, k2 = couplings.kappa1, couplings.kappa2
-    out = np.empty_like(z)
-    out[..., 0] = -1j * (k1 * b1 + a1 * (g11 * na1 + g12 * na2))
-    out[..., 1] = -1j * (k1 * a1 + b1 * (g11 * nb1 + g12 * nb2))
-    out[..., 2] = -1j * (k2 * b2 + a2 * (g12 * na1 + g22 * na2))
-    out[..., 3] = -1j * (k2 * a2 + b2 * (g12 * nb1 + g22 * nb2))
+    """Deterministic part a = -i a_drift - a_loss of the phase-space flow,
+    for an (n, 4) state; the result is a column-major (n, 4) array."""
+    v = _modes(z)
+    # |v|^2 from the interleaved (re, im) pairs: one contiguous product
+    sq = v.view(float) * v.view(float)
+    n = sq[..., ::2] + sq[..., 1::2]
+    g = np.array([[couplings.g11, couplings.g12], [couplings.g12, couplings.g22]])
+    kappa = -1j * np.array([couplings.kappa1, couplings.kappa2])[:, None, None]
+    # mode (s, w) turns at the rate sum_s' g[s, s'] n[s', w] and tunnels
+    # to the other well of its species at kappa[s]
+    out = v * (g[:, 0, None, None] * n[0] + g[:, 1, None, None] * n[1])
+    out *= -1j
+    out += kappa * v[:, ::-1]
     if losses.enabled:
-        g1, gm12, gm22 = losses.gamma1, losses.gamma12, losses.gamma22
-        out[..., 0] -= a1 * (gm12 * na2)
-        out[..., 1] -= b1 * (gm12 * nb2)
-        out[..., 2] -= a2 * (gm12 * na1 + 2.0 * gm22 * na2)
-        out[..., 3] -= b2 * (gm12 * nb1 + 2.0 * gm22 * nb2)
-        if g1:
+        # inter-species loss couples the two species in one well; the
+        # intra-species channel acts on species 2 only
+        loss = losses.gamma12 * n[::-1]
+        if losses.gamma22:
+            loss[1] += 2.0 * losses.gamma22 * n[1]
+        out -= v * loss
+        if losses.gamma1:
+            flat, zt = out.reshape(4, -1), z.T
             for col in _linear_loss_cols(linear_loss_mode):
-                out[..., col] -= g1 * z[..., col]
-    return out
+                flat[col] -= losses.gamma1 * zt[col]
+    return out.reshape(4, -1).T
 
 
 def _noise_term(
@@ -181,22 +201,21 @@ def _noise_term(
     carry the linear loss, one per lossy mode.  In "printed" mode B is
     the 4x6 layout of the source derivation, row for row.
     """
-    out = np.zeros_like(z)
+    v = _modes(z)
+    dw = dz_noise.T
     if losses.gamma12:
-        s12 = math.sqrt(losses.gamma12)
-        out[..., 0] += s12 * z[..., 2] * dz_noise[..., 0]
-        out[..., 1] += s12 * z[..., 3] * dz_noise[..., 1]
-        out[..., 2] += s12 * z[..., 0] * dz_noise[..., 0]
-        out[..., 3] += s12 * z[..., 1] * dz_noise[..., 1]
+        # well w's channel couples the two species there through dZ[w]
+        out = math.sqrt(losses.gamma12) * v[::-1] * dw[:2]
+    else:
+        out = np.zeros_like(v)
     if losses.gamma22:
-        s22 = math.sqrt(losses.gamma22)
-        out[..., 2] += s22 * z[..., 2] * dz_noise[..., 2]
-        out[..., 3] += s22 * z[..., 3] * dz_noise[..., 3]
+        out[1] += math.sqrt(losses.gamma22) * v[1] * dw[2:4]
+    flat = out.reshape(4, -1)
     if losses.gamma1:
         s1 = math.sqrt(losses.gamma1)
         for j, col in enumerate(_linear_loss_cols(linear_loss_mode)):
-            out[..., col] += s1 * dz_noise[..., 4 + j]
-    return out
+            flat[col] += s1 * dw[4 + j]
+    return flat.T
 
 
 MIDPOINT_ITERATIONS = 3
@@ -215,25 +234,26 @@ def step(
 
     `noise` carries the complex Wiener increments (independent real and
     imaginary parts of variance dτ/2 each); None is allowed for lossless
-    dynamics.  The midpoint stepper treats the flow semi-implicitly with
-    a fixed number of fixed-point iterations; B is analytic in z, so the
-    midpoint and Euler-Maruyama schemes converge to the same process.
+    dynamics.  The midpoint stepper, the only one, treats the flow
+    semi-implicitly with a fixed number of fixed-point iterations; B is
+    analytic in z and <dZ dZ> = 0, so the Itô and Stratonovich readings
+    of the equation coincide.
     """
-
-    def increment(at):
-        dz = drift(at, couplings, losses, linear_loss_mode) * dtau
-        if noise is not None and losses.enabled:
-            dz += _noise_term(at, losses, noise, linear_loss_mode)
-        return dz
-
-    if stepper == "euler-maruyama":
-        return state + increment(state)
     if stepper != "midpoint":
         raise ConfigError([f"wigner.stepper: unknown stepper {stepper!r}"])
     mid = state
     for _ in range(MIDPOINT_ITERATIONS):
-        mid = state + 0.5 * increment(mid)
-    return 2.0 * mid - state
+        # mid = state + dz(mid) / 2, built in place on the fresh drift array
+        dz = drift(mid, couplings, losses, linear_loss_mode)
+        dz *= dtau
+        if noise is not None and losses.enabled:
+            dz += _noise_term(mid, losses, noise, linear_loss_mode)
+        dz *= 0.5
+        dz += state
+        mid = dz
+    mid *= 2.0
+    mid -= state
+    return mid
 
 
 def sample_initial(initial: InitialState, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -301,21 +321,25 @@ def run_ensemble(
     rngs = [_chunk_rng(params.seed, chunk_offset + c) for c in range(n_chunks)]
     slices = [slice(c * csize, (c + 1) * csize) for c in range(n_chunks)]
 
-    z = np.empty((n_traj, 4), dtype=complex)
+    z = np.empty((n_traj, 4), dtype=complex, order="F")
     for c in range(n_chunks):
         z[slices[c]] = sample_initial(initial, rngs[c], csize)
 
     draw_noise = losses.enabled
-    ncols = n_noise_columns(params.linear_loss_mode)
-    noise = np.empty((n_traj, ncols), dtype=complex) if draw_noise else None
+    # normals land in stream order (trajectory, column, re/im) and are
+    # read in place as the complex increments
+    raw = np.empty((n_traj, n_noise_columns(params.linear_loss_mode), 2))
+    noise = raw.view(complex)[..., 0] if draw_noise else None
 
     sums = np.empty((len(taus), n_chunks, NBASIS), dtype=complex)
-    cols = np.empty((csize, NBASIS), dtype=complex)
 
     def record(i_tau: int) -> None:
+        # A fresh table per chunk, not one reused buffer: freeing this
+        # multi-MB block raises glibc's heap-trim threshold, so the
+        # stepping's temporaries stay mapped instead of being returned to
+        # the OS and faulted in again after every step.
         for c in range(n_chunks):
-            monomial_columns(z[slices[c]], out=cols)
-            sums[i_tau, c] = cols.sum(axis=0)
+            sums[i_tau, c] = monomial_columns(z[slices[c]]).sum(axis=0)
 
     def check_finite(tau: float, steps_done: int) -> None:
         finite = np.isfinite(z).all(axis=1)
@@ -334,8 +358,8 @@ def run_ensemble(
             for _ in range(nsub):
                 if draw_noise:
                     for c in range(n_chunks):
-                        raw = rngs[c].standard_normal((csize, ncols, 2))
-                        noise[slices[c]] = scale * (raw[..., 0] + 1j * raw[..., 1])
+                        rngs[c].standard_normal(out=raw[slices[c]])
+                    raw *= scale
                 z = step(
                     z,
                     couplings,

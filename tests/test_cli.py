@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,6 +81,47 @@ class TestDeterminism:
         )
         assert out1 != out2
 
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["two-step"], "two_step_n2000.json"),
+            (
+                ["dynamic"],
+                {
+                    "preset": {"tag": "B9p116G", "kappa": 1.0},
+                    "losses": {"gamma12": 1e-3},
+                    "sweep": {"tau_grid": [0.0, 0.25, 0.5]},
+                    "wigner": {"n_traj": 1000, "chunk_size": 250, "dtau": 1e-3, "seed": 5},
+                },
+            ),
+        ],
+        ids=["exact", "wigner"],
+    )
+    def test_bytes_independent_of_blas_threads(self, tmp_path, argv, doc):
+        # the moment conversion and the criteria call BLAS/LAPACK; their
+        # results must not depend on how many threads those libraries use
+        root = Path(__file__).resolve().parents[1]
+        cfg = str(root / "configs" / doc) if isinstance(doc, str) else write_cfg(tmp_path, doc)
+        src = str(root / "src")
+        path = os.environ.get("PYTHONPATH")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                PYTHONPATH=src + os.pathsep + path if path else src,
+            )
+            done = subprocess.run(
+                [sys.executable, "-m", "twinwell.cli", *argv, "--config", cfg],
+                env=env,
+                capture_output=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+
 
 class TestWignerTwoStep:
     def test_stderr_columns_filled(self, capsys, tmp_path):
@@ -151,6 +195,14 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "n_traj" in err and "integer" in err
+
+    def test_euler_maruyama_stepper_exit_2(self, capsys, tmp_path):
+        # the midpoint stepper is the only one
+        cfg = write_cfg(tmp_path, {"wigner": {"stepper": "euler-maruyama"}})
+        code, out, err = run_cli(capsys, "dynamic", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "stepper" in err
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "squeeze", "--config", str(tmp_path / "nope.json"))

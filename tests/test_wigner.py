@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -49,6 +50,42 @@ def diffusion(z, losses, linear_loss_mode="printed"):
     for j, col in enumerate(cols):
         b[..., col, 4 + j] = s1
     return b
+
+
+def drift_reference(z, couplings, losses, linear_loss_mode="symmetric"):
+    """Drift a = -i a_drift - a_loss written out mode by mode on the
+    (..., 4) columns: the reference for the vectorised `drift`."""
+    a1, b1, a2, b2 = z[..., 0], z[..., 1], z[..., 2], z[..., 3]
+    na1, nb1, na2, nb2 = (x.real * x.real + x.imag * x.imag for x in (a1, b1, a2, b2))
+    g11, g12, g22 = couplings.g11, couplings.g12, couplings.g22
+    k1, k2 = couplings.kappa1, couplings.kappa2
+    out = np.empty_like(z)
+    out[..., 0] = -1j * (k1 * b1 + a1 * (g11 * na1 + g12 * na2))
+    out[..., 1] = -1j * (k1 * a1 + b1 * (g11 * nb1 + g12 * nb2))
+    out[..., 2] = -1j * (k2 * b2 + a2 * (g12 * na1 + g22 * na2))
+    out[..., 3] = -1j * (k2 * a2 + b2 * (g12 * nb1 + g22 * nb2))
+    if losses.enabled:
+        g1, gm12, gm22 = losses.gamma1, losses.gamma12, losses.gamma22
+        out[..., 0] -= a1 * (gm12 * na2)
+        out[..., 1] -= b1 * (gm12 * nb2)
+        out[..., 2] -= a2 * (gm12 * na1 + 2.0 * gm22 * na2)
+        out[..., 3] -= b2 * (gm12 * nb1 + 2.0 * gm22 * nb2)
+        for col in _linear_loss_cols(linear_loss_mode):
+            out[..., col] -= g1 * z[..., col]
+    return out
+
+
+# unequal couplings and tunneling rates, so a swapped species or well shows
+ASYM = PhysicalCouplings(g11=1.0, g12=0.8, g22=0.95, kappa1=0.7, kappa2=0.3)
+LOSS_CASES = [
+    (LOSSLESS, "symmetric"),
+    (LossRates(gamma12=0.2), "symmetric"),
+    (LossRates(gamma22=0.3), "symmetric"),
+    (LossRates(gamma1=0.1), "symmetric"),
+    (LossRates(gamma1=0.1), "printed"),
+    (LossRates(gamma1=0.1), "operators"),
+    (LossRates(gamma1=0.1, gamma12=0.2, gamma22=0.3), "printed"),
+]
 
 
 def one_chunk_table(z):
@@ -121,6 +158,33 @@ class TestDrift:
         assert np.allclose(ops[0], [0.0, -0.25, -0.25, 0.0])
 
 
+class TestVectorisedAgainstReference:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("losses,mode", LOSS_CASES)
+    def test_drift_and_noise_term(self, losses, mode, order):
+        rng = np.random.default_rng(21)
+        ncols = n_noise_columns(mode)
+        z = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+        z = np.asarray(z, order=order)
+        dz = rng.normal(size=(9, ncols)) + 1j * rng.normal(size=(9, ncols))
+        got = drift(z, ASYM, losses, mode)
+        assert got.shape == z.shape
+        assert np.allclose(got, drift_reference(z, ASYM, losses, mode), rtol=0.0, atol=1e-13)
+        want = np.einsum("nij,nj->ni", diffusion(z, losses, mode), dz)
+        got = _noise_term(z, losses, dz, mode)
+        assert got.shape == z.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+    def test_step_independent_of_layout(self):
+        rng = np.random.default_rng(22)
+        losses = LossRates(gamma1=0.1, gamma12=0.2, gamma22=0.3)
+        z = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+        dz = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
+        c = step(z, ASYM, losses, 1e-3, dz, linear_loss_mode="printed")
+        f = step(np.asfortranarray(z), ASYM, losses, 1e-3, dz, linear_loss_mode="printed")
+        assert np.array_equal(c, f)
+
+
 class TestDiffusion:
     def test_zero_losses_zero_matrix(self):
         z = np.ones((3, 4), dtype=complex)
@@ -180,18 +244,26 @@ class TestStep:
             z = step(z, COUP, LOSSLESS, h, None, "midpoint")
         assert np.abs(np.abs(z) ** 2 - n0).max() < 1e-6 * INIT.N_A
 
-    def test_euler_less_accurate_but_close(self):
-        z = np.array([[10.0 + 0j, 10.0j, 9.0 + 1j, 8.0 - 2j]])
+    def test_species_numbers_conserved_with_tunneling(self):
+        # tunneling moves atoms between the wells of one species only, so
+        # |a1|^2 + |b1|^2 and |a2|^2 + |b2|^2 hold per trajectory
+        coup = dataclasses.replace(COUP, kappa1=1.0, kappa2=0.4)
+        z = sample_initial(InitialState(N_A=200.0, N_B=120.0), _chunk_rng(7, 2), 64)
+        n0 = np.abs(z) ** 2
         h = 1e-4
-        a = step(z, COUP, LOSSLESS, h, None, "midpoint")
-        b = step(z, COUP, LOSSLESS, h, None, "euler-maruyama")
-        assert np.allclose(a, b, atol=1e-4, rtol=0.0)
-        assert not np.allclose(a, b, atol=1e-9, rtol=0.0)
+        for _ in range(2000):
+            z = step(z, coup, LOSSLESS, h)
+        n = np.abs(z) ** 2
+        assert np.abs(n[:, :2] - n0[:, :2]).max() > 1.0  # the wells exchange atoms
+        for species in (slice(0, 2), slice(2, 4)):
+            change = n[:, species].sum(axis=1) - n0[:, species].sum(axis=1)
+            assert np.abs(change).max() < 1e-6 * INIT.N_A
 
     def test_unknown_stepper(self):
         z = np.zeros((1, 4), dtype=complex)
-        with pytest.raises(ConfigError):
-            step(z, COUP, LOSSLESS, 1e-4, None, "heun")
+        for stepper in ("heun", "euler-maruyama"):
+            with pytest.raises(ConfigError):
+                step(z, COUP, LOSSLESS, 1e-4, None, stepper)
 
 
 class TestEnsemble:
@@ -220,6 +292,30 @@ class TestEnsemble:
         r1 = run_ensemble(COUP, losses, INIT, self.TAUS, self.PARAMS)
         r2 = run_ensemble(COUP, losses, INIT, self.TAUS, self.PARAMS)
         assert np.array_equal(r1.moment_table(), r2.moment_table())
+
+    def test_noise_drawn_as_complex_pairs(self, monkeypatch):
+        # each step's increments are the chunk stream's next normals, in
+        # (trajectory, column, re/im) order, scaled by sqrt(h/2)
+        seen = []
+        real_step = wigner.step
+
+        def spy(state, couplings, losses, dtau, noise=None, *args):
+            seen.append(noise.copy())
+            return real_step(state, couplings, losses, dtau, noise, *args)
+
+        monkeypatch.setattr(wigner, "step", spy)
+        params = SimConfig(dtau=1e-3, n_traj=200, seed=99, chunk_size=100, linear_loss_mode="printed")
+        run_ensemble(COUP, LossRates(gamma12=1e-4), INIT, (0.0, 2e-3), params)
+        assert len(seen) == 2
+        scale = math.sqrt(0.5 * 1e-3)
+        for c in range(2):
+            rng = _chunk_rng(99, c)
+            rng.standard_normal((100, 4, 2))  # the initial sample
+            for noise in seen:
+                raw = rng.standard_normal((100, 6, 2))
+                want = scale * (raw[..., 0] + 1j * raw[..., 1])
+                got = np.ascontiguousarray(noise[c * 100 : (c + 1) * 100])
+                assert got.tobytes() == want.tobytes()
 
     def test_divergence_reported(self):
         bad = PhysicalCouplings(g11=10.0, g12=0.0, g22=10.0)
@@ -293,8 +389,8 @@ class TestMomentConversion:
         sumsq = []
         record = wigner.monomial_columns
 
-        def spy(z, out=None):
-            cols = record(z, out)
+        def spy(z):
+            cols = record(z)
             sumsq.append((cols.real * cols.real + cols.imag * cols.imag).sum(axis=0))
             return cols
 
