@@ -27,7 +27,19 @@ whole: tunneling swaps the well axis, the Kerr and two-body loss rates
 combine the species axis.  The per-chunk monomial tables are
 column-major too, so every product and per-column sum is contiguous.
 The noise increments stay in the Philox stream's order (trajectory,
-column, re/im), drawn in place and read as complex.
+column, re/im) and are read as complex.
+
+Loss noise is drawn ahead in blocks of NOISE_BLOCK steps (`_noise_ahead`):
+one `standard_normal` call per chunk and block, which consumes each
+chunk's stream in the same order as one call per step, so the bytes are
+those of drawing step by step.  With two or more usable CPUs a helper
+thread draws the blocks while the main thread steps; numpy releases the
+GIL while Philox fills, so the two overlap.  The helper calls only
+Generator methods, never a module-level function of this package: a
+tracer that wraps those functions keeps one span stack, which only the
+main thread may touch.  It does nothing else either (the scaling stays
+with the stepping), because each time it takes the GIL back it holds up
+the main thread.  With one CPU the blocks are drawn inline.
 
 Linear-loss placement is configurable (`linear_loss_mode`):
 
@@ -39,8 +51,11 @@ Linear-loss placement is configurable (`linear_loss_mode`):
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,6 +305,91 @@ def _chunk_rng(seed: int, chunk_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# steps of loss noise each chunk draws per Philox call
+NOISE_BLOCK = 4
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _noise_ahead(rngs, csize: int, ncols: int, hs):
+    """Iterator over the complex noise increments of each step in `hs`.
+
+    Block b holds steps [b K, b K + K), K = NOISE_BLOCK; each chunk draws
+    its part with one `standard_normal` call into slot b % 2 of a ring of
+    chunk-major blocks.  As the stepping reaches a step, its normals are
+    scaled by sqrt(h/2) into one buffer laid out (trajectory, column,
+    re/im) and read as complex.  With two or more usable CPUs a helper
+    thread draws the blocks ahead, handing ring slots over with two
+    semaphores; with one, each block is drawn when the stepping reaches
+    it.  Leaving the context stops and joins the helper.
+    """
+    n_chunks, n_steps, k_max = len(rngs), len(hs), NOISE_BLOCK
+    n_blocks = -(-n_steps // k_max)
+    ring = np.empty((2, n_chunks, k_max, csize, ncols, 2))
+    raw = np.empty((n_chunks, csize, ncols, 2))
+    noise = raw.reshape(n_chunks * csize, ncols, 2).view(complex)[..., 0]
+
+    def fill(b: int) -> None:
+        k_n = min(k_max, n_steps - b * k_max)
+        for rng, out in zip(rngs, ring[b % 2]):
+            rng.standard_normal(out=out[:k_n])
+
+    def scaled(b: int):
+        first = b * k_max
+        for k in range(min(k_max, n_steps - first)):
+            np.multiply(ring[b % 2, :, k], math.sqrt(0.5 * hs[first + k]), out=raw)
+            yield noise
+
+    def drawn_inline():
+        for b in range(n_blocks):
+            fill(b)
+            yield from scaled(b)
+
+    if _usable_cpus() < 2:
+        yield drawn_inline()
+        return
+
+    free, ready = threading.Semaphore(2), threading.Semaphore(0)
+    stop = threading.Event()
+    failed = []
+
+    def draw_ahead() -> None:
+        try:
+            for b in range(n_blocks):
+                free.acquire()
+                if stop.is_set():
+                    return
+                fill(b)
+                ready.release()
+        except BaseException as exc:  # hand it to the stepping thread
+            failed.append(exc)
+            ready.release()
+
+    def handed_over():
+        for b in range(n_blocks):
+            if b:
+                free.release()  # block b - 1 is used up
+            ready.acquire()
+            if failed:
+                raise failed[0]
+            yield from scaled(b)
+
+    helper = threading.Thread(target=draw_ahead, name="twinwell-noise", daemon=True)
+    helper.start()
+    try:
+        yield handed_over()
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
+
+
 def run_ensemble(
     couplings: PhysicalCouplings,
     losses: LossRates,
@@ -325,11 +425,15 @@ def run_ensemble(
     for c in range(n_chunks):
         z[slices[c]] = sample_initial(initial, rngs[c], csize)
 
-    draw_noise = losses.enabled
-    # normals land in stream order (trajectory, column, re/im) and are
-    # read in place as the complex increments
-    raw = np.empty((n_traj, n_noise_columns(params.linear_loss_mode), 2))
-    noise = raw.view(complex)[..., 0] if draw_noise else None
+    # the step plan: every step's size, and the steps done by each tau
+    hs, ends, pos = [], [], 0.0
+    for target in taus:
+        span = target - pos
+        if span > 0.0:
+            nsub = max(1, math.ceil(span / params.dtau - 1e-12))
+            hs += [span / nsub] * nsub
+            pos = target
+        ends.append(len(hs))
 
     sums = np.empty((len(taus), n_chunks, NBASIS), dtype=complex)
 
@@ -347,30 +451,24 @@ def run_ensemble(
             bad = int(np.argmin(finite))
             raise DivergenceError(tau, chunk_offset * csize + bad, steps_done)
 
-    pos = 0.0
-    steps_done = 0
-    for i, target in enumerate(taus):
-        span = target - pos
-        if span > 0.0:
-            nsub = max(1, math.ceil(span / params.dtau - 1e-12))
-            h = span / nsub
-            scale = math.sqrt(0.5 * h)
-            for _ in range(nsub):
-                if draw_noise:
-                    for c in range(n_chunks):
-                        rngs[c].standard_normal(out=raw[slices[c]])
-                    raw *= scale
+    if losses.enabled:
+        noise = _noise_ahead(rngs, csize, n_noise_columns(params.linear_loss_mode), hs)
+    else:
+        noise = contextlib.nullcontext(itertools.repeat(None))
+    with noise as step_noise:
+        done = 0
+        for i, target in enumerate(taus):
+            for h, dz_noise in zip(hs[done : ends[i]], step_noise):
                 z = step(
                     z,
                     couplings,
                     losses,
                     h,
-                    noise,
+                    dz_noise,
                     params.stepper,
                     params.linear_loss_mode,
                 )
-                steps_done += 1
-            pos = target
-        check_finite(target, steps_done)
-        record(i)
+            done = ends[i]
+            check_finite(target, done)
+            record(i)
     return WignerRun(taus, sums, csize)

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -73,6 +75,43 @@ def drift_reference(z, couplings, losses, linear_loss_mode="symmetric"):
         for col in _linear_loss_cols(linear_loss_mode):
             out[..., col] -= g1 * z[..., col]
     return out
+
+
+def run_ensemble_serial(couplings, losses, initial, taus, params, chunk_offset=0):
+    """`run_ensemble` of v0.2.4, which drew each step's noise from every
+    chunk's stream in turn on the stepping thread: the reference for the
+    blocks drawn ahead.  Returns the per-chunk sums."""
+    n_traj, csize = params.n_traj, params.chunk_size
+    n_chunks = n_traj // csize
+    rngs = [_chunk_rng(params.seed, chunk_offset + c) for c in range(n_chunks)]
+    slices = [slice(c * csize, (c + 1) * csize) for c in range(n_chunks)]
+    z = np.empty((n_traj, 4), dtype=complex, order="F")
+    for c in range(n_chunks):
+        z[slices[c]] = sample_initial(initial, rngs[c], csize)
+    raw = np.empty((n_traj, n_noise_columns(params.linear_loss_mode), 2))
+    noise = raw.view(complex)[..., 0] if losses.enabled else None
+    sums = np.empty((len(taus), n_chunks, NBASIS), dtype=complex)
+    pos, steps_done = 0.0, 0
+    for i, target in enumerate(taus):
+        span = target - pos
+        if span > 0.0:
+            nsub = max(1, math.ceil(span / params.dtau - 1e-12))
+            h = span / nsub
+            for _ in range(nsub):
+                if noise is not None:
+                    for c in range(n_chunks):
+                        rngs[c].standard_normal(out=raw[slices[c]])
+                    raw *= math.sqrt(0.5 * h)
+                z = step(z, couplings, losses, h, noise, params.stepper, params.linear_loss_mode)
+                steps_done += 1
+            pos = target
+        finite = np.isfinite(z).all(axis=1)
+        if not finite.all():
+            bad = chunk_offset * csize + int(np.argmin(finite))
+            raise DivergenceError(target, bad, steps_done)
+        for c in range(n_chunks):
+            sums[i, c] = monomial_columns(z[slices[c]]).sum(axis=0)
+    return sums
 
 
 # unequal couplings and tunneling rates, so a swapped species or well shows
@@ -329,6 +368,131 @@ class TestEnsemble:
     def test_bad_grid_rejected(self):
         with pytest.raises(ConfigError):
             run_ensemble(COUP, LOSSLESS, INIT, (0.5, 0.1), self.PARAMS)
+
+
+@pytest.fixture(params=["threaded", "inline"])
+def noise_path(request, monkeypatch):
+    """Run the loss noise on the helper thread or, as on one CPU, inline."""
+    cpus = 2 if request.param == "threaded" else 1
+    monkeypatch.setattr(wigner, "_usable_cpus", lambda: cpus)
+    return request.param
+
+
+class TestNoiseDrawnAhead:
+    # step counts per interval 4, 7, 1 (unequal h) and 1, 3, 7 (11 in all):
+    # neither grid fits whole blocks of NOISE_BLOCK steps everywhere
+    GRID = (0.0, 0.0035, 0.01, 0.0101)
+    GRID_ODD = (0.001, 0.0035, 0.01)
+    CASES = [
+        (LossRates(gamma12=1e-3), "symmetric", GRID, 3, 0),
+        (LossRates(gamma22=1e-3), "symmetric", GRID, 3, 0),
+        (LossRates(gamma1=0.01), "printed", GRID, 3, 0),
+        (LossRates(gamma1=0.01, gamma12=1e-3, gamma22=1e-3), "operators", GRID, 3, 0),
+        (LossRates(gamma1=0.01, gamma12=1e-3, gamma22=1e-3), "printed", GRID_ODD, 1, 0),
+        (LossRates(gamma12=1e-3), "printed", GRID_ODD, 3, 2),
+    ]
+
+    @staticmethod
+    def params(n_chunks, mode="symmetric"):
+        return SimConfig(
+            dtau=1e-3, n_traj=20 * n_chunks, seed=31, chunk_size=20, linear_loss_mode=mode
+        )
+
+    @pytest.mark.parametrize("losses, mode, taus, n_chunks, offset", CASES)
+    def test_same_bytes_as_serial_draws(self, noise_path, losses, mode, taus, n_chunks, offset):
+        params = self.params(n_chunks, mode)
+        before = threading.active_count()
+        run = run_ensemble(COUP, losses, INIT, taus, params, chunk_offset=offset)
+        assert threading.active_count() == before  # the helper is joined
+        want = run_ensemble_serial(COUP, losses, INIT, taus, params, chunk_offset=offset)
+        assert run.sums.tobytes() == want.tobytes()
+
+    def test_same_bytes_under_rapid_thread_switches(self, noise_path):
+        losses = LossRates(gamma1=0.01, gamma12=1e-3, gamma22=1e-3)
+        params = self.params(3, "printed")
+        taus = tuple(0.002 * k for k in range(12))
+        want = run_ensemble_serial(COUP, losses, INIT, taus, params)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = run_ensemble(COUP, losses, INIT, taus, params)
+        finally:
+            sys.setswitchinterval(old)
+        assert run.sums.tobytes() == want.tobytes()
+
+    def test_draws_exactly_the_run_steps(self, noise_path, monkeypatch):
+        drawn = []
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.gen.standard_normal(*args, **kwargs)
+                drawn.append(out.size)
+                return out
+
+        real = wigner._chunk_rng
+        monkeypatch.setattr(wigner, "_chunk_rng", lambda seed, c: Counting(real(seed, c)))
+        params = self.params(3, "printed")
+        run_ensemble(COUP, LossRates(gamma12=1e-3), INIT, self.GRID_ODD, params)
+        steps = 11
+        assert sum(drawn) == params.n_traj * 8 + steps * params.n_traj * n_noise_columns("printed") * 2
+
+    def test_lossless_run_starts_no_thread(self, monkeypatch):
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(wigner, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(threading, "Thread", Spy)
+        run_ensemble(COUP, LOSSLESS, INIT, self.GRID, self.params(3))
+        assert started == []
+        run_ensemble(COUP, LossRates(gamma12=1e-3), INIT, self.GRID, self.params(3))
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_failed_draw_raised_not_hung(self, noise_path, monkeypatch):
+        # a draw that fails on the helper thread surfaces on the stepping
+        # thread instead of leaving it waiting for the block
+        class Failing:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, *args, out=None, **kwargs):
+                if out is not None:
+                    raise MemoryError("draw failed")
+                return self.gen.standard_normal(*args, **kwargs)
+
+        real = wigner._chunk_rng
+        monkeypatch.setattr(wigner, "_chunk_rng", lambda seed, c: Failing(real(seed, c)))
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="draw failed"):
+            run_ensemble(COUP, LossRates(gamma12=1e-3), INIT, self.GRID, self.params(3))
+        assert threading.active_count() == before
+
+    def test_divergence_mid_block_joins_helper(self, noise_path):
+        # diverges by tau 30, after 3 steps: the helper is still a block
+        # ahead of the stepping when the error leaves run_ensemble
+        bad = PhysicalCouplings(g11=10.0, g12=0.0, g22=10.0)
+        losses = LossRates(gamma12=1e-3)
+        params = SimConfig(dtau=10.0, n_traj=4, seed=1, chunk_size=2)
+        taus = (0.0, 30.0, 50.0, 100.0)
+        before = threading.active_count()
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as want:
+                run_ensemble_serial(bad, losses, INIT, taus, params)
+            with pytest.raises(DivergenceError) as got:
+                run_ensemble(bad, losses, INIT, taus, params)
+        assert threading.active_count() == before
+        assert (got.value.tau, got.value.trajectory, got.value.step) == (
+            want.value.tau,
+            want.value.trajectory,
+            want.value.step,
+        )
+        assert got.value.step % wigner.NOISE_BLOCK and got.value.tau < taus[-1]
 
 
 class TestMomentConversion:
