@@ -268,12 +268,18 @@ def validate_config(doc: dict | None = None) -> RunConfig:
     _check_keys("sweep", sweep_doc, _SWEEP_KEYS, errs)
     grid = sweep_doc.get("tau_grid")
     if grid is not None:
+        # not float() of each item: that reads a string character by
+        # character, an object by its keys and true as 1
+        numbers = isinstance(grid, (list, tuple)) and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in grid
+        )
         try:
-            taus = tuple(float(t) for t in grid)
-        except (TypeError, ValueError):
-            errs.append("sweep.tau_grid: expected a list of numbers")
-            taus = ()
-        if len(taus) == 0:
+            taus = tuple(float(t) for t in grid) if numbers else ()
+        except OverflowError:  # an integer beyond the float range
+            taus = (math.inf,)
+        if not numbers:
+            errs.append(f"sweep.tau_grid: expected an array of numbers, got {grid!r}")
+        elif len(taus) == 0:
             errs.append("sweep.tau_grid: must not be empty")
         elif not all(math.isfinite(t) for t in taus):
             errs.append("sweep.tau_grid: must contain finite numbers only")

@@ -32,14 +32,14 @@ column, re/im) and are read as complex.
 Loss noise is drawn ahead in blocks of NOISE_BLOCK steps (`_noise_ahead`):
 one `standard_normal` call per chunk and block, which consumes each
 chunk's stream in the same order as one call per step, so the bytes are
-those of drawing step by step.  With two or more usable CPUs a helper
-thread draws the blocks while the main thread steps; numpy releases the
-GIL while Philox fills, so the two overlap.  The helper calls only
+those of drawing step by step.  The one worker of a thread pool draws
+the next block while the main thread steps; numpy releases the GIL
+while Philox fills, so the two overlap.  The worker calls only
 Generator methods, never a module-level function of this package: a
 tracer that wraps those functions keeps one span stack, which only the
 main thread may touch.  It does nothing else either (the scaling stays
 with the stepping), because each time it takes the GIL back it holds up
-the main thread.  With one CPU the blocks are drawn inline.
+the main thread.
 
 Linear-loss placement is configurable (`linear_loss_mode`):
 
@@ -54,8 +54,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,20 +240,17 @@ def step(
     losses: LossRates,
     dtau: float,
     noise: np.ndarray | None = None,
-    stepper: str = "midpoint",
     linear_loss_mode: str = "symmetric",
 ) -> np.ndarray:
     """One integrator step of dz = a dτ + B dZ.
 
     `noise` carries the complex Wiener increments (independent real and
     imaginary parts of variance dτ/2 each); None is allowed for lossless
-    dynamics.  The midpoint stepper, the only one, treats the flow
-    semi-implicitly with a fixed number of fixed-point iterations; B is
-    analytic in z and <dZ dZ> = 0, so the Itô and Stratonovich readings
-    of the equation coincide.
+    dynamics.  The midpoint step treats the flow semi-implicitly with a
+    fixed number of fixed-point iterations; B is analytic in z and
+    <dZ dZ> = 0, so the Itô and Stratonovich readings of the equation
+    coincide.
     """
-    if stepper != "midpoint":
-        raise ConfigError([f"wigner.stepper: unknown stepper {stepper!r}"])
     mid = state
     for _ in range(MIDPOINT_ITERATIONS):
         # mid = state + dz(mid) / 2, built in place on the fresh drift array
@@ -309,26 +304,22 @@ def _chunk_rng(seed: int, chunk_id: int) -> np.random.Generator:
 NOISE_BLOCK = 4
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
 def _noise_ahead(rngs, csize: int, ncols: int, hs):
-    """Iterator over the complex noise increments of each step in `hs`.
+    """Generator of the complex noise increments of each step in `hs`.
 
     Block b holds steps [b K, b K + K), K = NOISE_BLOCK; each chunk draws
     its part with one `standard_normal` call into slot b % 2 of a ring of
-    chunk-major blocks.  As the stepping reaches a step, its normals are
-    scaled by sqrt(h/2) into one buffer laid out (trajectory, column,
-    re/im) and read as complex.  With two or more usable CPUs a helper
-    thread draws the blocks ahead, handing ring slots over with two
-    semaphores; with one, each block is drawn when the stepping reaches
-    it.  Leaving the context stops and joins the helper.
+    chunk-major blocks.  A one-worker thread pool draws block b + 1 while
+    the stepping uses block b, and a failed draw is raised here.  As the
+    stepping reaches a step, its normals are scaled by sqrt(h/2) into one
+    buffer laid out (trajectory, column, re/im) and read as complex.
+    Closing the generator shuts the pool down, waiting for a draw still
+    running.
     """
+    # imported here: concurrent.futures pulls in logging, which runs
+    # without losses never need
+    from concurrent.futures import ThreadPoolExecutor
+
     n_chunks, n_steps, k_max = len(rngs), len(hs), NOISE_BLOCK
     n_blocks = -(-n_steps // k_max)
     ring = np.empty((2, n_chunks, k_max, csize, ncols, 2))
@@ -340,54 +331,16 @@ def _noise_ahead(rngs, csize: int, ncols: int, hs):
         for rng, out in zip(rngs, ring[b % 2]):
             rng.standard_normal(out=out[:k_n])
 
-    def scaled(b: int):
-        first = b * k_max
-        for k in range(min(k_max, n_steps - first)):
-            np.multiply(ring[b % 2, :, k], math.sqrt(0.5 * hs[first + k]), out=raw)
-            yield noise
-
-    def drawn_inline():
+    with ThreadPoolExecutor(1, thread_name_prefix="twinwell-noise") as pool:
+        pending = pool.submit(fill, 0)
         for b in range(n_blocks):
-            fill(b)
-            yield from scaled(b)
-
-    if _usable_cpus() < 2:
-        yield drawn_inline()
-        return
-
-    free, ready = threading.Semaphore(2), threading.Semaphore(0)
-    stop = threading.Event()
-    failed = []
-
-    def draw_ahead() -> None:
-        try:
-            for b in range(n_blocks):
-                free.acquire()
-                if stop.is_set():
-                    return
-                fill(b)
-                ready.release()
-        except BaseException as exc:  # hand it to the stepping thread
-            failed.append(exc)
-            ready.release()
-
-    def handed_over():
-        for b in range(n_blocks):
-            if b:
-                free.release()  # block b - 1 is used up
-            ready.acquire()
-            if failed:
-                raise failed[0]
-            yield from scaled(b)
-
-    helper = threading.Thread(target=draw_ahead, name="twinwell-noise", daemon=True)
-    helper.start()
-    try:
-        yield handed_over()
-    finally:
-        stop.set()
-        free.release()
-        helper.join()
+            pending.result()
+            if b + 1 < n_blocks:
+                pending = pool.submit(fill, b + 1)
+            first = b * k_max
+            for k in range(min(k_max, n_steps - first)):
+                np.multiply(ring[b % 2, :, k], math.sqrt(0.5 * hs[first + k]), out=raw)
+                yield noise
 
 
 def run_ensemble(
@@ -452,22 +405,16 @@ def run_ensemble(
             raise DivergenceError(tau, chunk_offset * csize + bad, steps_done)
 
     if losses.enabled:
-        noise = _noise_ahead(rngs, csize, n_noise_columns(params.linear_loss_mode), hs)
+        noise = contextlib.closing(
+            _noise_ahead(rngs, csize, n_noise_columns(params.linear_loss_mode), hs)
+        )
     else:
         noise = contextlib.nullcontext(itertools.repeat(None))
     with noise as step_noise:
         done = 0
         for i, target in enumerate(taus):
             for h, dz_noise in zip(hs[done : ends[i]], step_noise):
-                z = step(
-                    z,
-                    couplings,
-                    losses,
-                    h,
-                    dz_noise,
-                    params.stepper,
-                    params.linear_loss_mode,
-                )
+                z = step(z, couplings, losses, h, dz_noise, params.linear_loss_mode)
             done = ends[i]
             check_finite(target, done)
             record(i)

@@ -85,6 +85,7 @@ def test_empty_tau_grid_rejected():
         ({"losses": {"gamma12": math.nan}}, "gamma12"),
         ({"initial": {"N_A": math.inf}}, "N_A"),
         ({"wigner": {"dtau": math.inf}}, "dtau"),
+        ({"sweep": {"tau_grid": [0, 10**400]}}, "tau_grid"),
     ],
 )
 def test_non_finite_numbers_rejected(doc, field):
@@ -106,6 +107,12 @@ def test_non_finite_numbers_rejected(doc, field):
         ({"preset": {"tag": "B9p116G", "kappa": True}}, "kappa", "number"),
         ({"losses": {"gamma1": False}}, "gamma1", "number"),
         ({"sweep": {"fixed_theta": True}}, "fixed_theta", "number"),
+        # float() of each item would read "0123" as taus 0, 1, 2, 3, an
+        # object by its keys and true as 1
+        ({"sweep": {"tau_grid": "0123"}}, "tau_grid", "array of numbers"),
+        ({"sweep": {"tau_grid": {"0": 1, "1": 2}}}, "tau_grid", "array of numbers"),
+        ({"sweep": {"tau_grid": [0, True]}}, "tau_grid", "array of numbers"),
+        ({"sweep": {"tau_grid": [0, "1"]}}, "tau_grid", "array of numbers"),
     ],
 )
 def test_non_integral_and_boolean_numbers_rejected(doc, field, message):

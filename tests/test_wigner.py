@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,7 +105,7 @@ def run_ensemble_serial(couplings, losses, initial, taus, params, chunk_offset=0
                     for c in range(n_chunks):
                         rngs[c].standard_normal(out=raw[slices[c]])
                     raw *= math.sqrt(0.5 * h)
-                z = step(z, couplings, losses, h, noise, params.stepper, params.linear_loss_mode)
+                z = step(z, couplings, losses, h, noise, params.linear_loss_mode)
                 steps_done += 1
             pos = target
         finite = np.isfinite(z).all(axis=1)
@@ -270,7 +273,7 @@ class TestStep:
         n0 = (np.abs(z) ** 2).sum(axis=1)
         h = 1e-4
         for _ in range(2000):  # full default-window sweep
-            z = step(z, coup, LOSSLESS, h, None, "midpoint")
+            z = step(z, coup, LOSSLESS, h)
         drift_n = np.abs((np.abs(z) ** 2).sum(axis=1) - n0).max()
         assert drift_n < 1e-6 * INIT.N_A
 
@@ -280,7 +283,7 @@ class TestStep:
         n0 = np.abs(z) ** 2
         h = 1e-4
         for _ in range(2000):
-            z = step(z, COUP, LOSSLESS, h, None, "midpoint")
+            z = step(z, COUP, LOSSLESS, h)
         assert np.abs(np.abs(z) ** 2 - n0).max() < 1e-6 * INIT.N_A
 
     def test_species_numbers_conserved_with_tunneling(self):
@@ -297,12 +300,6 @@ class TestStep:
         for species in (slice(0, 2), slice(2, 4)):
             change = n[:, species].sum(axis=1) - n0[:, species].sum(axis=1)
             assert np.abs(change).max() < 1e-6 * INIT.N_A
-
-    def test_unknown_stepper(self):
-        z = np.zeros((1, 4), dtype=complex)
-        for stepper in ("heun", "euler-maruyama"):
-            with pytest.raises(ConfigError):
-                step(z, COUP, LOSSLESS, 1e-4, None, stepper)
 
 
 class TestEnsemble:
@@ -370,11 +367,16 @@ class TestEnsemble:
             run_ensemble(COUP, LOSSLESS, INIT, (0.5, 0.1), self.PARAMS)
 
 
-@pytest.fixture(params=["threaded", "inline"])
-def noise_path(request, monkeypatch):
-    """Run the loss noise on the helper thread or, as on one CPU, inline."""
-    cpus = 2 if request.param == "threaded" else 1
-    monkeypatch.setattr(wigner, "_usable_cpus", lambda: cpus)
+@pytest.fixture(params=["threaded", "one_cpu"])
+def noise_path(request):
+    """Run the loss noise with the process on all its CPUs or, so that the
+    draws and the stepping take turns on it, pinned to one."""
+    if request.param == "one_cpu":
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity call on this platform")
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        request.addfinalizer(lambda: os.sched_setaffinity(0, cpus))
     return request.param
 
 
@@ -447,7 +449,6 @@ class TestNoiseDrawnAhead:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(wigner, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(threading, "Thread", Spy)
         run_ensemble(COUP, LOSSLESS, INIT, self.GRID, self.params(3))
         assert started == []
@@ -493,6 +494,22 @@ class TestNoiseDrawnAhead:
             want.value.step,
         )
         assert got.value.step % wigner.NOISE_BLOCK and got.value.tau < taus[-1]
+
+    def test_import_loads_no_thread_pool(self):
+        # concurrent.futures pulls in logging, which costs every run's
+        # start-up; only a lossy run's noise draws may import it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+        probe = (
+            "import sys, twinwell.sweeps; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestMomentConversion:
