@@ -10,7 +10,8 @@ Subcommands mirror the sweep pipelines:
 Output is CSV on stdout (or --out) with a '#' header carrying the
 config hash, seed and version, so identical config + seed reproduce the
 file byte for byte.  Exit codes: 0 success, 1 failed validation,
-2 configuration error, 3 numerical divergence.
+2 configuration error, 3 numerical divergence, 4 degenerate reference
+(a criterion's mean spin or variance vanished at some tau).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import sys
 
 from .config import RunConfig, validate_config
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DegenerateReferenceError, DivergenceError
 from .sweeps import (
     dynamic_sweep,
     run_meta,
@@ -125,6 +126,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 3
+    except DegenerateReferenceError as exc:
+        print(f"degenerate reference: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -181,7 +181,8 @@ def _num(sec, key, doc, default, errs, kind=float, minimum=None, strict=False):
     if raw is None:
         return None
     try:
-        if isinstance(raw, bool):  # json true/false, which kind() reads as 1/0
+        # json true/false, which kind() reads as 1/0, and strings, which it parses
+        if isinstance(raw, (bool, str)):
             raise TypeError(raw)
         v = kind(raw)
     except (TypeError, ValueError):

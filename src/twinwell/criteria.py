@@ -9,16 +9,15 @@ and covariance is one contraction with the table, and the angle and
 gain optimisations run over all taus together.  The angle and gains are
 chosen on the merged ensemble and frozen for the chunks.
 
-With the beam splitter, J_C ∓ J_D are expanded into the sum/difference
-operators
+The criteria read the measured site pair (1, 2): (C, D) after the
+tunneling-pulse beam splitter, (A, B) without it.  Every variance comes
+from the sum and difference spins of that pair,
 
-    P^Z = J_A^Z + J_B^Z,                      P^X = J_A^X + J_B^X,
-    K^Z = (i/2)(a2†b2 − b2†a2 − a1†b1 + b1†a1),
-    K^X = (i/2)[e^{iΔθ}(a2†b1 − b2†a1) + e^{-iΔθ}(a1†b2 − b1†a2)],
+    P^θ = J_1^θ + J_2^θ,        K^θ = J_1^θ − J_2^θ,
 
-so that J_C^θ − g J_D^θ = g₋ P^θ + g₊ K^θ with g± = (1 ± g)/2.  The
-tests check this against the head-on expansion of the post-splitter
-spin operators.
+so that J_1^θ − g J_2^θ = g₋ P^θ + g₊ K^θ with g± = (1 ± g)/2, and
+J_1 ∓ J_2 are K and P themselves.  With the splitter, P = J_A + J_B
+term for term; the tests check this and K against its hand expansion.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .operators import (
     SITE_C,
     SITE_D,
     CompiledPolys,
-    NormalPoly,
     raising_bilinear,
     spin_operators,
 )
@@ -105,43 +103,11 @@ class CriteriaResult:
     joint: JointSpinMoments
 
 
-def _kz_poly() -> NormalPoly:
-    i2 = 0.5j
-    return NormalPoly(
-        {
-            (0, 1, 0, 0, 0, 0, 0, 1): i2,  # a2† b2
-            (0, 0, 0, 1, 0, 1, 0, 0): -i2,  # b2† a2
-            (1, 0, 0, 0, 0, 0, 1, 0): -i2,  # a1† b1
-            (0, 0, 1, 0, 1, 0, 0, 0): i2,  # b1† a1
-        }
-    )
-
-
-def _kx_poly(pf: complex = 1.0) -> NormalPoly:
-    i2 = 0.5j
-    pfc = complex(pf).conjugate()
-    return NormalPoly(
-        {
-            (0, 1, 0, 0, 0, 0, 1, 0): i2 * pf,  # a2† b1
-            (0, 0, 0, 1, 1, 0, 0, 0): -i2 * pf,  # b2† a1
-            (1, 0, 0, 0, 0, 0, 0, 1): i2 * pfc,  # a1† b2
-            (0, 0, 1, 0, 0, 1, 0, 0): -i2 * pfc,  # b1† a2
-        }
-    )
-
-
-def _basis_ops(beam_splitter: bool):
-    """Four Hermitian basis operators at unit phase factor, and the mode
-    that combines them.
-
-    mode "pk": basis = (P^Z, P^X, K^Z, K^X), the sum/difference regrouping.
-    mode "cd": basis = (J_A^Z, J_A^X, J_B^Z, J_B^X), without the splitter.
-    """
-    jax_, _, jaz = spin_operators(SITE_A)
-    jbx, _, jbz = spin_operators(SITE_B)
-    if beam_splitter:
-        return [jaz + jbz, jax_ + jbx, _kz_poly(), _kx_poly()], "pk"
-    return [jaz, jax_, jbz, jbx], "cd"
+def _basis_ops(site_c, site_d):
+    """(P^Z, P^X, K^Z, K^X) of the site pair at unit phase factor."""
+    jcx, _, jcz = spin_operators(site_c)
+    jdx, _, jdz = spin_operators(site_d)
+    return [jcz + jdz, jcx + jdx, jcz - jdz, jcx - jdx]
 
 
 def _covariances(table, ops, pf) -> np.ndarray:
@@ -165,38 +131,27 @@ def _quad(V, i, j, c, s):
     )
 
 
-def _combos(mode: str, V, theta):
+def _combos(V, theta):
+    """Site 1/2 variances and covariance at angle θ, and var(J_1 ∓ J_2)."""
     c = np.cos(theta)
     s = np.sin(theta)
-    if mode == "pk":
-        wpp = _quad(V, 0, 0, c, s)
-        wkk = _quad(V, 2, 2, c, s)
-        wpk = _quad(V, 0, 2, c, s)
-        var_c = 0.25 * (wpp + wkk + 2.0 * wpk)
-        var_d = 0.25 * (wpp + wkk - 2.0 * wpk)
-        cov = 0.25 * (wpp - wkk)
-        v_minus = wkk
-        v_plus = wpp
-    else:
-        var_c = _quad(V, 0, 0, c, s)
-        var_d = _quad(V, 2, 2, c, s)
-        cov = _quad(V, 0, 2, c, s)
-        v_minus = var_c + var_d - 2.0 * cov
-        v_plus = var_c + var_d + 2.0 * cov
+    wpp = _quad(V, 0, 0, c, s)
+    wkk = _quad(V, 2, 2, c, s)
+    wpk = _quad(V, 0, 2, c, s)
     return {
-        "var_C": var_c,
-        "var_D": var_d,
-        "cov": cov,
-        "v_minus": v_minus,
-        "v_plus": v_plus,
+        "var_C": 0.25 * (wpp + wkk + 2.0 * wpk),
+        "var_D": 0.25 * (wpp + wkk - 2.0 * wpk),
+        "cov": 0.25 * (wpp - wkk),
+        "v_minus": wkk,
+        "v_plus": wpp,
     }
 
 
-def _num_den(mode: str, V, theta, objective: str):
+def _num_den(V, theta, objective: str):
     """The angle objective at θ as num/den: the product of the inference
     variances at θ and θ + π/2, plain (den = 1) or gain-optimized."""
-    a = _combos(mode, V, theta)
-    b = _combos(mode, V, theta + 0.5 * math.pi)
+    a = _combos(V, theta)
+    b = _combos(V, theta + 0.5 * math.pi)
     if objective == "epr":
         det_a = a["var_C"] * a["var_D"] - a["cov"] ** 2
         det_b = b["var_C"] * b["var_D"] - b["cov"] ** 2
@@ -204,7 +159,7 @@ def _num_den(mode: str, V, theta, objective: str):
     return a["v_minus"] * b["v_plus"], np.ones_like(a["v_minus"])
 
 
-def optimal_theta(V, mode: str, objective: str = "product") -> np.ndarray:
+def optimal_theta(V, objective: str = "product") -> np.ndarray:
     """Angles in (-pi/2, pi/2] minimizing the joint inference-variance
     product, one per covariance matrix of V (shape (n_tau, 4, 4)).
 
@@ -219,7 +174,7 @@ def optimal_theta(V, mode: str, objective: str = "product") -> np.ndarray:
     alone would pick the angle, so it is 0.
     """
     theta = np.zeros(len(V))
-    num, den = _num_den(mode, V[:, None], np.pi / N_SAMPLE * np.arange(N_SAMPLE), objective)
+    num, den = _num_den(V[:, None], np.pi / N_SAMPLE * np.arange(N_SAMPLE), objective)
     f = num / den
     live = np.ptp(f, axis=-1) > FLAT_TOL * np.abs(f).max(axis=-1)
     V, num, den = V[live], num[live], den[live]
@@ -240,10 +195,10 @@ def optimal_theta(V, mode: str, objective: str = "product") -> np.ndarray:
         slope = -2.0 * (k * terms.imag).sum(axis=-1)
         phi = phi - np.divide(val, slope, out=np.zeros_like(val), where=slope != 0.0)
     cand = _fold_angle(0.5 * phi)
-    f = np.divide(*_num_den(mode, V[:, None], cand, objective))
+    f = np.divide(*_num_den(V[:, None], cand, objective))
     best = cand[np.arange(len(V)), np.argmin(f, axis=1)]
     alt = _fold_angle(best + 0.5 * math.pi)
-    f0, f1 = np.divide(*_num_den(mode, V, np.stack([best, alt]), objective))
+    f0, f1 = np.divide(*_num_den(V, np.stack([best, alt]), objective))
     closer = (np.abs(alt) < np.abs(best)) | ((np.abs(alt) == np.abs(best)) & (alt > 0.0))
     theta[live] = np.where((np.abs(f1 - f0) <= TIE_TOL * np.abs(f0)) & closer, alt, best)
     return theta
@@ -262,13 +217,12 @@ def joint_moments(
     w = raising.expectations(table)
     w_c, w_d = w[..., 0], w[..., 1]
     pf = phase_factor_from(w_c[:, 0])
-    ops, mode = _basis_ops(beam_splitter)
-    V = _covariances(table, ops, pf)
+    V = _covariances(table, _basis_ops(site_c, site_d), pf)
     if theta is None:
-        theta = optimal_theta(V[:, 0], mode, objective)
+        theta = optimal_theta(V[:, 0], objective)
     theta = np.broadcast_to(np.asarray(theta, dtype=float), w_c.shape[:1])
-    at = _combos(mode, V, theta[:, None])
-    ap = _combos(mode, V, theta[:, None] + 0.5 * math.pi)
+    at = _combos(V, theta[:, None])
+    ap = _combos(V, theta[:, None] + 0.5 * math.pi)
     return JointSpinMoments(
         theta=theta,
         delta_theta=delta_theta_from(w_c[:, 0]),

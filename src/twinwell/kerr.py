@@ -18,11 +18,11 @@ a_i f(N_j) = f(N_j + δ_ij) a_i leaves
     φ  = t [ g11 (p1(p1-1) - q1(q1-1))/2 + g22 (p2(p2-1) - q2(q2-1))/2
              + g12 (p1 p2 - q1 q2) ],
 
-with λ_i = |α_i|².  An independent truncated Fock-basis oracle
-(`fock_site_moment`) cross-checks the closed form.  Wells never couple
-under this Hamiltonian, so cross-site monomials factorize:
-`moment_table` tabulates the whole monomial basis for a grid of times
-from the closed form, and `fock_moment_table` from the oracle.
+with λ_i = |α_i|².  Wells never couple under this Hamiltonian, so
+cross-site monomials factorize: `moment_table` tabulates the whole
+monomial basis for a grid of times from the closed form, and
+`fock_moment_table` from an independent truncated Fock-basis oracle
+that cross-checks it.
 """
 
 from __future__ import annotations
@@ -196,25 +196,6 @@ def _fock_sum(state, p1: int, p2: int, q1: int, q2: int) -> np.ndarray:
     bra = psi[:, p1 : p1 + kmax1 + 1, p2 : p2 + kmax2 + 1].conj()
     ket = psi[:, q1 : q1 + kmax1 + 1, q2 : q2 + kmax2 + 1]
     return (bra * ket * f1[:, None] * f2[None, :]).reshape(len(psi), -1).sum(axis=1)
-
-
-def fock_site_moment(
-    p1: int,
-    p2: int,
-    q1: int,
-    q2: int,
-    alpha1,
-    alpha2,
-    g11: float,
-    g12: float,
-    g22: float,
-    tau: float,
-    cutoff: int | None = None,
-    tail_tol: float = 1e-10,
-) -> complex:
-    """Truncated Fock-basis oracle for `site_moment` at one time."""
-    state = _fock_state(alpha1, alpha2, g11, g12, g22, [tau], cutoff, tail_tol)
-    return complex(_fock_sum(state, p1, p2, q1, q2)[0])
 
 
 def fock_moment_table(couplings, initial, taus, cutoff: int | None = None) -> np.ndarray:

@@ -74,14 +74,7 @@ class NormalPoly:
         return NormalPoly(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0j) - c
-            if v == 0:
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return NormalPoly(out)
+        return self + (-other)
 
     def __neg__(self):
         return NormalPoly({k: -c for k, c in self.terms.items()})
@@ -125,10 +118,6 @@ class NormalPoly:
 
     def dagger(self) -> "NormalPoly":
         return NormalPoly({key_dagger(k): c.conjugate() for k, c in self.terms.items()})
-
-    @property
-    def order(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
 
     def expectation(self, source) -> complex:
         """Exact expectation via a monomial source, summed with fsum.

@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from kerr_oracle import fock_site_moment
 from twinwell.config import InitialState, LossRates, SimConfig, preset_couplings
 from twinwell.criteria import evaluate_criteria
-from twinwell.kerr import fock_moment_table, fock_site_moment, moment_table, site_moment
+from twinwell.kerr import fock_moment_table, moment_table, site_moment
 from twinwell.operators import BASIS_INDEX, NBASIS, key_dagger
 from twinwell.spins import optimal_angle, rotated_variance, spin_moments, squeezing
 from twinwell.wigner import WignerMomentSource, run_ensemble

@@ -235,6 +235,24 @@ class TestErrorPaths:
         assert code == 3
         assert "diverged" in err
 
+    @pytest.mark.parametrize("command", ["two-step", "squeeze"])
+    def test_degenerate_reference_exit_4(self, capsys, tmp_path, command):
+        # at N = 2000 the transverse coherence <a2† a1> underflows to zero
+        # by tau = 30000, so no measurement angle is defined there
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "preset": {"tag": "B9p116G"},
+                "initial": {"N_A": 2000},
+                "sweep": {"tau_grid": [0, 1, 30000]},
+            },
+        )
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("degenerate reference: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
 
 class TestOutput:
     def test_out_file(self, capsys, tmp_path):

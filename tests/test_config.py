@@ -113,6 +113,12 @@ def test_non_finite_numbers_rejected(doc, field):
         ({"sweep": {"tau_grid": {"0": 1, "1": 2}}}, "tau_grid", "array of numbers"),
         ({"sweep": {"tau_grid": [0, True]}}, "tau_grid", "array of numbers"),
         ({"sweep": {"tau_grid": [0, "1"]}}, "tau_grid", "array of numbers"),
+        # float() and int() would parse a number given as a string
+        ({"wigner": {"dtau": "1e-3"}}, "dtau", "number"),
+        ({"wigner": {"n_traj": "1000"}}, "n_traj", "number"),
+        ({"losses": {"gamma12": "0.001"}}, "gamma12", "number"),
+        ({"initial": {"N_A": "2000"}}, "N_A", "number"),
+        ({"sweep": {"fixed_theta": "0.3"}}, "fixed_theta", "number"),
     ],
 )
 def test_non_integral_and_boolean_numbers_rejected(doc, field, message):

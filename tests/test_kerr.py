@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from kerr_oracle import fock_site_moment
 from twinwell.config import InitialState, PhysicalCouplings, preset_couplings
 from twinwell.errors import TruncationError
-from twinwell.kerr import fock_moment_table, fock_site_moment, moment_table, site_moment
+from twinwell.kerr import fock_moment_table, moment_table, site_moment
 from twinwell.operators import BASIS_INDEX, key_dagger
 
 RATIOS = preset_couplings("B9p116G", 1.0)  # g11 = 1, ratio-scaled couplings

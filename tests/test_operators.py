@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twinwell.criteria import _basis_ops
 from twinwell.operators import (
     BASIS_INDEX,
     BASIS_KEYS,
@@ -31,6 +32,34 @@ def annihilation(mode: int) -> NormalPoly:
     q = [0] * 8
     q[4 + mode] = 1
     return NormalPoly({tuple(q): 1.0 + 0j})
+
+
+def kz_poly() -> NormalPoly:
+    """K^Z = J_C^Z − J_D^Z by hand: (i/2)(a2†b2 − b2†a2 − a1†b1 + b1†a1)."""
+    i2 = 0.5j
+    return NormalPoly(
+        {
+            (0, 1, 0, 0, 0, 0, 0, 1): i2,  # a2† b2
+            (0, 0, 0, 1, 0, 1, 0, 0): -i2,  # b2† a2
+            (1, 0, 0, 0, 0, 0, 1, 0): -i2,  # a1† b1
+            (0, 0, 1, 0, 1, 0, 0, 0): i2,  # b1† a1
+        }
+    )
+
+
+def kx_poly(pf: complex = 1.0) -> NormalPoly:
+    """K^X = J_C^X − J_D^X by hand, at phase factor pf = e^{iΔθ}:
+    (i/2)[pf (a2†b1 − b2†a1) + pf* (a1†b2 − b1†a2)]."""
+    i2 = 0.5j
+    pfc = complex(pf).conjugate()
+    return NormalPoly(
+        {
+            (0, 1, 0, 0, 0, 0, 1, 0): i2 * pf,  # a2† b1
+            (0, 0, 0, 1, 1, 0, 0, 0): -i2 * pf,  # b2† a1
+            (1, 0, 0, 0, 0, 0, 0, 1): i2 * pfc,  # a1† b2
+            (0, 0, 1, 0, 0, 1, 0, 0): -i2 * pfc,  # b1† a2
+        }
+    )
 
 
 def constant(c) -> NormalPoly:
@@ -161,9 +190,13 @@ class TestSpinOperators:
                 assert poly_close(op, op.dagger())
 
     def test_decomposition_identity(self):
+        # the post-splitter basis is P = J_A + J_B and the hand-expanded K,
+        # term for term
+        jax_, _, jaz = spin_operators(SITE_A)
+        jbx, _, jbz = spin_operators(SITE_B)
+        want = [jaz + jbz, jax_ + jbx, kz_poly(), kx_poly()]
+        assert [op.terms for op in _basis_ops(SITE_C, SITE_D)] == [w.terms for w in want]
         # J_C^i - g J_D^i == g- (J_A^i + J_B^i) + g+ K^i  for i in {Z, X}
-        from twinwell.criteria import _kx_poly, _kz_poly
-
         pf = np.exp(-0.81j)
         jax_, _, jaz = spin_operators(SITE_A, pf)
         jbx, _, jbz = spin_operators(SITE_B, pf)
@@ -172,10 +205,10 @@ class TestSpinOperators:
         for g in (-0.3, 0.0, 0.5, 1.0, 1.7):
             gm, gp = 0.5 * (1 - g), 0.5 * (1 + g)
             lhs_z = jcz - g * jdz
-            rhs_z = gm * (jaz + jbz) + gp * _kz_poly()
+            rhs_z = gm * (jaz + jbz) + gp * kz_poly()
             assert poly_close(lhs_z, rhs_z)
             lhs_x = jcx - g * jdx
-            rhs_x = gm * (jax_ + jbx) + gp * _kx_poly(complex(pf))
+            rhs_x = gm * (jax_ + jbx) + gp * kx_poly(complex(pf))
             assert poly_close(lhs_x, rhs_x)
 
     def test_phase_factor_enters_as_charge_power(self):
