@@ -3,8 +3,9 @@ EPR-steering criteria with optimized measurement angle and gains.
 
 A whole sweep is evaluated at once, from a normal-ordered moment table
 of shape (n_tau, n_ens, NBASIS): ensemble row 0 is the merged ensemble,
-the rows after it are trajectory chunks.  The operators are compiled
-once per call, at unit phase factor (see `CompiledPolys`), so every mean
+the rows after it are trajectory chunks.  The frame and the symmetrised
+covariances of the sum and difference spins come from the same routine
+as the single-site spin moments (`spins._site_moments`), so every mean
 and covariance is one contraction with the table, and the angle and
 gain optimisations run over all taus together.  The angle and gains are
 chosen on the merged ensemble and frozen for the chunks.
@@ -28,16 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateReferenceError
-from .operators import (
-    SITE_A,
-    SITE_B,
-    SITE_C,
-    SITE_D,
-    CompiledPolys,
-    raising_bilinear,
-    spin_operators,
-)
-from .spins import _fold_angle, delta_theta_from, phase_factor_from
+from .operators import SITE_A, SITE_B, SITE_C, SITE_D, spin_operators
+from .spins import _fold_angle, _site_moments
 
 # samples of the angle objective over one period of φ = 2θ: enough for
 # the Fourier coefficients of n'd − nd', of degree at most 6 in φ
@@ -108,18 +101,6 @@ def _basis_ops(site_c, site_d):
     jcx, _, jcz = spin_operators(site_c)
     jdx, _, jdz = spin_operators(site_d)
     return [jcz + jdz, jcx + jdx, jcz - jdz, jcx - jdx]
-
-
-def _covariances(table, ops, pf) -> np.ndarray:
-    """(n_tau, n_ens, 4, 4) symmetrized covariance matrices of the basis ops."""
-    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
-    polys = ops + [0.5 * (ops[i] * ops[j] + ops[j] * ops[i]) for i, j in pairs]
-    e = CompiledPolys(polys).expectations(table, pf).real
-    means = e[..., :4]
-    V = np.empty(e.shape[:2] + (4, 4))
-    for n, (i, j) in enumerate(pairs):
-        V[..., i, j] = V[..., j, i] = e[..., 4 + n] - means[..., i] * means[..., j]
-    return V
 
 
 def _quad(V, i, j, c, s):
@@ -213,21 +194,17 @@ def joint_moments(
     """Joint spin moments at angles θ (per tau, or one for all taus);
     optimized on the merged ensemble when not given."""
     site_c, site_d = (SITE_C, SITE_D) if beam_splitter else (SITE_A, SITE_B)
-    raising = CompiledPolys([raising_bilinear(site_c), raising_bilinear(site_d)])
-    w = raising.expectations(table)
-    w_c, w_d = w[..., 0], w[..., 1]
-    pf = phase_factor_from(w_c[:, 0])
-    V = _covariances(table, _basis_ops(site_c, site_d), pf)
+    s, delta_theta, _, V = _site_moments(table, (site_c, site_d), _basis_ops(site_c, site_d))
     if theta is None:
         theta = optimal_theta(V[:, 0], objective)
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), w_c.shape[:1])
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), delta_theta.shape)
     at = _combos(V, theta[:, None])
     ap = _combos(V, theta[:, None] + 0.5 * math.pi)
     return JointSpinMoments(
         theta=theta,
-        delta_theta=delta_theta_from(w_c[:, 0]),
-        mean_JY_C=np.imag(pf[:, None] * w_c),
-        mean_JY_D=np.imag(pf[:, None] * w_d),
+        delta_theta=delta_theta,
+        mean_JY_C=s[..., 0].imag,
+        mean_JY_D=s[..., 1].imag,
         var_minus_theta=at["v_minus"],
         var_plus_theta=at["v_plus"],
         var_minus_perp=ap["v_minus"],

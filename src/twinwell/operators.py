@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 N_MODES = 4
-A1, A2, B1, B2 = range(N_MODES)
 MAX_ORDER = 4
 
 

@@ -9,6 +9,10 @@ The mode-phase convention Δθ = π/2 − arg<a2† a1> makes <J^X> = 0 and
 |<J^Y>|/2.  The phase factor e^{iΔθ} is computed as i·conj(w)/|w| rather
 than through trigonometric functions of arg(w), which keeps the tau = 0
 shot-noise baselines exact to machine precision.
+
+`_site_moments` fixes that frame and reads the means and symmetrised
+covariances of any Hermitian operators in it; `spin_moments` here and
+`criteria.joint_moments` both read their moments through it.
 """
 
 from __future__ import annotations
@@ -52,29 +56,45 @@ class SpinMoments:
     delta_theta: np.ndarray = float("nan")
 
 
-def spin_moments(table, site=SITE_A) -> SpinMoments:
-    """Spin moments of one site over a moment table.
+def _site_moments(table, sites, ops):
+    """Frame and second moments of Hermitian `ops` over a moment table.
 
-    The spin operators are compiled once per call at unit phase factor;
-    the phase convention is fixed per tau from the merged ensemble.
+    e^{iΔθ} is fixed per tau by the merged ensemble of the first site.
+    Returns <S> = e^{iΔθ}<m2† m1> per site, (n_tau, n_ens, n_sites); Δθ,
+    (n_tau,); and the means, (n_tau, n_ens, n_ops), and symmetrised
+    covariance matrices, (n_tau, n_ens, n_ops, n_ops), of `ops` at that
+    phase.  Each product is built once: BA = (AB)† for Hermitian A and B,
+    exactly, since every coefficient is a dyadic rational.  The polynomials
+    are compiled once per call at unit phase factor.
     """
-    jx, _, jz = spin_operators(site)
-    w = CompiledPolys([raising_bilinear(site)]).expectations(table)[..., 0]
-    pf = phase_factor_from(w[:, 0])
-    second = [jz, jz * jz, jx * jx, 0.5 * (jz * jx + jx * jz)]
-    e = CompiledPolys(second).expectations(table, pf).real
+    w = CompiledPolys([raising_bilinear(site) for site in sites]).expectations(table)
+    pf = phase_factor_from(w[:, 0, 0])
+    n = len(ops)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    products = []
+    for i, j in pairs:
+        ab = ops[i] * ops[j]
+        products.append(ab if i == j else 0.5 * (ab + ab.dagger()))
+    e = CompiledPolys(list(ops) + products).expectations(table, pf).real
+    means = e[..., :n]
+    cov = np.empty(e.shape[:2] + (n, n))
+    for k, (i, j) in enumerate(pairs):
+        cov[..., i, j] = cov[..., j, i] = e[..., n + k] - means[..., i] * means[..., j]
+    return pf[:, None, None] * w, delta_theta_from(w[:, 0, 0]), means, cov
 
-    s_mean = pf[:, None] * w  # <S> with the phase applied; Im -> J^Y, Re -> J^X
-    mean_jx = s_mean.real
-    mean_jz = e[..., 0]
+
+def spin_moments(table, site=SITE_A) -> SpinMoments:
+    """Spin moments of one site over a moment table."""
+    jx, _, jz = spin_operators(site)
+    s, delta_theta, means, cov = _site_moments(table, (site,), [jz, jx])
     return SpinMoments(
-        mean_jx,
-        s_mean.imag,
-        mean_jz,
-        e[..., 1] - mean_jz * mean_jz,
-        e[..., 2] - mean_jx * mean_jx,
-        e[..., 3] - mean_jz * mean_jx,
-        delta_theta_from(w[:, 0]),
+        s[..., 0].real,
+        s[..., 0].imag,
+        means[..., 0],
+        cov[..., 0, 0],
+        cov[..., 1, 1],
+        cov[..., 0, 1],
+        delta_theta,
     )
 
 

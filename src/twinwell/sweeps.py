@@ -29,7 +29,7 @@ from .criteria import evaluate_criteria
 from .errors import ConfigError
 from .kerr import fock_moment_table, moment_table
 from .spins import optimal_angle, spin_moments, squeezing
-from .wigner import run_ensemble
+from .wigner import moment_source, run_ensemble
 
 
 @dataclass
@@ -142,8 +142,9 @@ def dynamic_sweep(cfg: RunConfig, beam_splitter: bool = False) -> list[SweepRow]
 
 
 def _wigner_rows(cfg: RunConfig, beam_splitter: bool) -> list[SweepRow]:
-    run = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, cfg.sweep.taus, cfg.wigner)
-    return criteria_row(run.moment_table(), cfg.sweep, beam_splitter=beam_splitter)
+    sums = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, cfg.sweep.taus, cfg.wigner)
+    table = moment_source(sums, cfg.wigner.chunk_size)
+    return criteria_row(table, cfg.sweep, beam_splitter=beam_splitter)
 
 
 def _fmt(v) -> str:
@@ -152,7 +153,7 @@ def _fmt(v) -> str:
     return f"{v:.12g}"
 
 
-def write_csv(rows, meta: dict, stream=None) -> str:
+def write_csv(rows, meta: dict) -> str:
     """Fixed-schema CSV with a '#' header block (config hash, seed, version)."""
     buf = io.StringIO()
     buf.write(f"# twinwell {__version__}\n")
@@ -162,10 +163,7 @@ def write_csv(rows, meta: dict, stream=None) -> str:
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(getattr(row, c)) for c in CSV_COLUMNS) + "\n")
-    text = buf.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+    return buf.getvalue()
 
 
 def run_meta(cfg: RunConfig, command: str, engine: str, beam_splitter: bool | None) -> dict:
@@ -211,11 +209,9 @@ def validation_report(cfg: RunConfig, n_traj: int | None = None):
     taus = tuple(np.linspace(0.0, 2.0, 5))
     if cfg.couplings.tunneling or cfg.losses.enabled:
         lines.append("[SKIP] stochastic vs exact: requires zero tunneling and losses")
-        run = None
     else:
-        run = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, taus, cfg.wigner, n_traj=n_traj)
-    if run is not None:
-        rw = evaluate_criteria(run.moment_table())
+        sums = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, taus, cfg.wigner, n_traj=n_traj)
+        rw = evaluate_criteria(moment_source(sums, cfg.wigner.chunk_size))
         re_ = evaluate_criteria(moment_table(cfg.couplings, cfg.initial, taus), theta=rw.theta_opt)
         chunks = rw.E_product[:, 1:]
         se = chunks.std(ddof=1, axis=1) / math.sqrt(chunks.shape[1])

@@ -54,7 +54,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,26 +124,26 @@ def monomial_columns(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class WignerMomentSource:
+def moment_source(sums: np.ndarray, chunk_size: int) -> np.ndarray:
     """Normal-ordered moment table of a run.
 
     `sums` (n_tau, n_chunks, NBASIS) holds each chunk's sums of the
     symmetric-ordered monomials, `chunk_size` trajectories per chunk.
-    `table[i]` holds, at output time i, the merged-ensemble moments in
-    row 0 and each chunk's moments (in `sums` order, for standard
-    errors) in the rows after it: shape (n_tau, 1 + n_chunks, NBASIS).
+    Row i of the table holds, at output time i, the merged-ensemble
+    moments in row 0 and each chunk's moments (in `sums` order, for
+    standard errors) in the rows after it: shape (n_tau, 1 + n_chunks,
+    NBASIS).
     """
-
-    def __init__(self, sums: np.ndarray, chunk_size: int):
-        n_tau, n_chunks, _ = sums.shape
-        n_ens = 1 + n_chunks
-        self.table = np.empty((n_tau, n_ens, NBASIS), dtype=complex)
-        for out, s in zip(self.table, sums):
-            weyl = np.vstack([s.sum(axis=0) / (n_chunks * chunk_size), s / chunk_size])
-            # CAHILL is real: convert the real and imaginary parts in one product
-            normal = np.vstack([weyl.real, weyl.imag]) @ CAHILL.T
-            out.real = normal[:n_ens]
-            out.imag = normal[n_ens:]
+    n_tau, n_chunks, _ = sums.shape
+    n_ens = 1 + n_chunks
+    table = np.empty((n_tau, n_ens, NBASIS), dtype=complex)
+    for out, s in zip(table, sums):
+        weyl = np.vstack([s.sum(axis=0) / (n_chunks * chunk_size), s / chunk_size])
+        # CAHILL is real: convert the real and imaginary parts in one product
+        normal = np.vstack([weyl.real, weyl.imag]) @ CAHILL.T
+        out.real = normal[:n_ens]
+        out.imag = normal[n_ens:]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +280,6 @@ def sample_initial(initial: InitialState, rng: np.random.Generator, n: int) -> n
     return z
 
 
-@dataclass
-class WignerRun:
-    """Output of `run_ensemble`: per-chunk monomial sums at every requested
-    time, shape (n_tau, n_chunks, NBASIS), chunks in stream order."""
-
-    taus: tuple
-    sums: np.ndarray
-    chunk_size: int
-
-    def moment_table(self) -> np.ndarray:
-        """(n_tau, 1 + n_chunks, NBASIS) normal-ordered moments."""
-        return WignerMomentSource(self.sums, self.chunk_size).table
-
-
 def _chunk_rng(seed: int, chunk_id: int) -> np.random.Generator:
     key = np.array([seed, chunk_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -351,9 +336,10 @@ def run_ensemble(
     params: SimConfig,
     n_traj: int | None = None,
     chunk_offset: int = 0,
-) -> WignerRun:
+) -> np.ndarray:
     """Integrate an ensemble and sum its monomials per chunk at every
-    requested tau.
+    requested tau: an (n_tau, n_chunks, NBASIS) array, chunks in stream
+    order (`moment_source` turns it into a moment table).
 
     Deterministic: chunk c consumes only the stream keyed (seed,
     chunk_offset + c), in a fixed draw order, so identical parameters
@@ -418,4 +404,4 @@ def run_ensemble(
             done = ends[i]
             check_finite(target, done)
             record(i)
-    return WignerRun(taus, sums, csize)
+    return sums

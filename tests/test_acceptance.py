@@ -17,7 +17,7 @@ from twinwell.criteria import evaluate_criteria
 from twinwell.kerr import fock_moment_table, moment_table, site_moment
 from twinwell.operators import BASIS_INDEX, NBASIS, key_dagger
 from twinwell.spins import optimal_angle, rotated_variance, spin_moments, squeezing
-from twinwell.wigner import WignerMomentSource, run_ensemble
+from twinwell.wigner import moment_source, run_ensemble
 
 B = "B9p116G"
 
@@ -167,7 +167,7 @@ def test_acceptance_06_wigner_exact_agreement():
     taus = tuple(np.linspace(0.0, 0.2, 21))
     params = SimConfig(dtau=1e-4, n_traj=10_000, seed=1234, chunk_size=500)
     run = run_ensemble(coup, LossRates(), init, taus, params)
-    rw = evaluate_criteria(run.moment_table())
+    rw = evaluate_criteria(moment_source(run, params.chunk_size))
     re_ = evaluate_criteria(exact_table(coup, init, taus), theta=rw.theta_opt)
     worst = 0.0
     for arr, want in zip(rw.E_product, re_.E_product[:, 0]):
@@ -184,7 +184,7 @@ def test_acceptance_07_tunneling_generated_entanglement():
     taus = tuple(np.linspace(0.0, 5.0, 21))
     params = SimConfig(dtau=1e-3, n_traj=5000, seed=1234, chunk_size=500)
     run = run_ensemble(coup, LossRates(), init, taus, params)
-    r = evaluate_criteria(run.moment_table(), beam_splitter=False)
+    r = evaluate_criteria(moment_source(run, params.chunk_size), beam_splitter=False)
     best = (math.inf, 0.0, 0.0)
     for arr, tau in zip(r.E_product, taus):
         if arr[0] < best[0]:
@@ -205,7 +205,7 @@ def test_acceptance_08_loss_dichotomy():
 
     def curve(losses):
         run = run_ensemble(coup, losses, init, taus, params)
-        arr = evaluate_criteria(run.moment_table()).E_EPR_product
+        arr = evaluate_criteria(moment_source(run, params.chunk_size)).E_EPR_product
         return arr[:, 0], arr[:, 1:]
 
     base, base_ch = curve(LossRates())
@@ -279,12 +279,13 @@ def test_acceptance_09_property_suites():
     taus = (0.0, 0.5)
     r1 = run_ensemble(coup200, LossRates(), init200, taus, params)
     r2 = run_ensemble(coup200, LossRates(), init200, taus, params)
-    checks.append(("seed determinism", np.array_equal(r1.moment_table(), r2.moment_table())))
+    tables = [moment_source(r, params.chunk_size) for r in (r1, r2)]
+    checks.append(("seed determinism", np.array_equal(*tables)))
     lo = run_ensemble(coup200, LossRates(), init200, taus, params, n_traj=100)
     hi = run_ensemble(coup200, LossRates(), init200, taus, params, n_traj=100, chunk_offset=2)
-    merged = WignerMomentSource(np.concatenate([lo.sums, hi.sums], axis=1), params.chunk_size)
+    merged = moment_source(np.concatenate([lo, hi], axis=1), params.chunk_size)
     checks.append(
-        ("merge associativity", np.array_equal(merged.table, r1.moment_table()))
+        ("merge associativity", np.array_equal(merged, moment_source(r1, params.chunk_size)))
     )
 
     # step-halving convergence (lossless runs share the initial ensemble)
@@ -292,8 +293,8 @@ def test_acceptance_09_property_suites():
     pb = SimConfig(dtau=1e-3, n_traj=1000, seed=5, chunk_size=500)
     ra = run_ensemble(coup200, LossRates(), init200, (0.0, 1.0), pa)
     rb = run_ensemble(coup200, LossRates(), init200, (0.0, 1.0), pb)
-    ea = evaluate_criteria(ra.moment_table()[1:])
-    eb = evaluate_criteria(rb.moment_table()[1:], theta=ea.theta_opt)
+    ea = evaluate_criteria(moment_source(ra, pa.chunk_size)[1:])
+    eb = evaluate_criteria(moment_source(rb, pb.chunk_size)[1:], theta=ea.theta_opt)
     arr = ea.E_product[0]
     halving = abs(arr[0] - eb.E_product[0, 0])
     checks.append(("step-halving convergence", halving < 0.3 * se_of(arr)))

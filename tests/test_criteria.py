@@ -32,12 +32,13 @@ from twinwell.operators import (
     SITE_C,
     SITE_D,
     CompiledPolys,
+    NormalPoly,
     raising_bilinear,
     spin_operators,
 )
 from twinwell.spins import optimal_angle, phase_factor_from, spin_moments, squeezing
 from twinwell.sweeps import criteria_row
-from twinwell.wigner import run_ensemble
+from twinwell.wigner import moment_source, run_ensemble
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -177,7 +178,7 @@ class TestCompiledAgainstOracle:
         coup = preset_couplings("B9p116G", 200.0, kappa=0.5)
         params = SimConfig(dtau=1e-3, n_traj=400, seed=5, chunk_size=100)
         run = run_ensemble(coup, LossRates(gamma12=1e-3), InitialState(N_A=200.0), (0.0, 0.5, 1.0), params)
-        table = run.moment_table()
+        table = moment_source(run, params.chunk_size)
         assert table.shape == (3, 5, table.shape[2])
         r = evaluate_criteria(table, beam_splitter)
         assert_compiled_matches_oracle(r, table, beam_splitter, "product", None)
@@ -226,7 +227,7 @@ class TestCompiledAgainstOracle:
             cfg = load_config(CONFIGS / name)
             params = dataclasses.replace(cfg.wigner, n_traj=400, chunk_size=100)
             run = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, cfg.sweep.taus[:4], params)
-            tables.append(run.moment_table())
+            tables.append(moment_source(run, params.chunk_size))
         for table in tables:
             for beam_splitter in (True, False):
                 V = cd_covariances(table, beam_splitter)
@@ -266,6 +267,23 @@ class TestCompiledAgainstOracle:
         for i, row in enumerate(rows):
             s_local, _ = oracle.local_squeezing(table[i])
             assert row.S_local == pytest.approx(s_local[0], rel=1e-10, abs=1e-12)
+
+
+class TestOperatorProducts:
+    def test_each_product_built_once_per_sweep(self, monkeypatch):
+        # site A's (J^Z, J^X) need 3 products and the four sum/difference
+        # spins 10: one per unordered pair, since BA is taken as (AB)†
+        calls = []
+        mul = NormalPoly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(NormalPoly, "__mul__", counting)
+        taus = (0.0, 1.0)
+        criteria_row(exact_table("B9p116G", 200.0, taus), SweepParams(taus=taus))
+        assert len(calls) == 13
 
 
 def one(value):

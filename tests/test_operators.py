@@ -211,6 +211,15 @@ class TestSpinOperators:
             rhs_x = gm * (jax_ + jbx) + gp * kx_poly(complex(pf))
             assert poly_close(lhs_x, rhs_x)
 
+    def test_reversed_product_is_exact_dagger(self):
+        # BA = (AB)† for Hermitian A and B, bit for bit (every coefficient
+        # is a dyadic rational): the covariances build each product once
+        jx, _, jz = spin_operators(SITE_A)
+        for ops in ([jz, jx], _basis_ops(SITE_A, SITE_B), _basis_ops(SITE_C, SITE_D)):
+            for a in ops:
+                for b in ops:
+                    assert (b * a).terms == (a * b).dagger().terms
+
     def test_phase_factor_enters_as_charge_power(self):
         # operators built at pf equal those built at pf = 1 with every
         # monomial scaled by pf^Q, Q its component-2 charge

@@ -19,10 +19,10 @@ from twinwell.wigner import (
     BASIS_KEYS,
     CAHILL,
     NBASIS,
-    WignerMomentSource,
     _chunk_rng,
     _linear_loss_cols,
     drift,
+    moment_source,
     monomial_columns,
     n_noise_columns,
     run_ensemble,
@@ -133,7 +133,7 @@ LOSS_CASES = [
 def one_chunk_table(z):
     """(NBASIS,) normal-ordered moments of one ensemble, as one chunk."""
     sums = monomial_columns(z).sum(axis=0)
-    return WignerMomentSource(sums[None, None], z.shape[0]).table[0, 0]
+    return moment_source(sums[None, None], z.shape[0])[0, 0]
 
 
 class TestSampling:
@@ -309,8 +309,8 @@ class TestEnsemble:
     def test_seed_determinism(self):
         r1 = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS)
         r2 = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS)
-        assert r1.sums.shape == (len(self.TAUS), 4, NBASIS)
-        assert np.array_equal(r1.sums, r2.sums)
+        assert r1.shape == (len(self.TAUS), 4, NBASIS)
+        assert np.array_equal(r1, r2)
 
     def test_half_ensembles_merge_to_full(self):
         full = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS)
@@ -318,16 +318,17 @@ class TestEnsemble:
         hi = run_ensemble(
             COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS, n_traj=100, chunk_offset=2
         )
-        merged = np.concatenate([lo.sums, hi.sums], axis=1)
-        assert np.array_equal(merged, full.sums)
-        table = WignerMomentSource(merged, self.PARAMS.chunk_size).table
-        assert np.array_equal(table, full.moment_table())
+        merged = np.concatenate([lo, hi], axis=1)
+        assert np.array_equal(merged, full)
+        table = moment_source(merged, self.PARAMS.chunk_size)
+        assert np.array_equal(table, moment_source(full, self.PARAMS.chunk_size))
 
     def test_noisy_run_deterministic_too(self):
         losses = LossRates(gamma1=0.01, gamma12=1e-4)
         r1 = run_ensemble(COUP, losses, INIT, self.TAUS, self.PARAMS)
         r2 = run_ensemble(COUP, losses, INIT, self.TAUS, self.PARAMS)
-        assert np.array_equal(r1.moment_table(), r2.moment_table())
+        tables = [moment_source(r, self.PARAMS.chunk_size) for r in (r1, r2)]
+        assert np.array_equal(*tables)
 
     def test_noise_drawn_as_complex_pairs(self, monkeypatch):
         # each step's increments are the chunk stream's next normals, in
@@ -407,7 +408,7 @@ class TestNoiseDrawnAhead:
         run = run_ensemble(COUP, losses, INIT, taus, params, chunk_offset=offset)
         assert threading.active_count() == before  # the helper is joined
         want = run_ensemble_serial(COUP, losses, INIT, taus, params, chunk_offset=offset)
-        assert run.sums.tobytes() == want.tobytes()
+        assert run.tobytes() == want.tobytes()
 
     def test_same_bytes_under_rapid_thread_switches(self, noise_path):
         losses = LossRates(gamma1=0.01, gamma12=1e-3, gamma22=1e-3)
@@ -420,7 +421,7 @@ class TestNoiseDrawnAhead:
             run = run_ensemble(COUP, losses, INIT, taus, params)
         finally:
             sys.setswitchinterval(old)
-        assert run.sums.tobytes() == want.tobytes()
+        assert run.tobytes() == want.tobytes()
 
     def test_draws_exactly_the_run_steps(self, noise_path, monkeypatch):
         drawn = []
@@ -580,12 +581,12 @@ class TestMomentConversion:
         params = SimConfig(dtau=1e-3, n_traj=2000, seed=31, chunk_size=500)
         run = run_ensemble(COUP, LOSSLESS, INIT, taus, params)
         n_chunks = params.n_traj // params.chunk_size
-        table = run.moment_table()
+        table = moment_source(run, params.chunk_size)
         exact = moment_table(COUP, INIT, taus)
         n = params.n_traj
         for i in range(len(taus)):
             sq = np.sum(sumsq[i * n_chunks : (i + 1) * n_chunks], axis=0)
-            mean = run.sums[i].sum(axis=0) / n
+            mean = run[i].sum(axis=0) / n
             # per-monomial standard error of the mean (|.|-sense), a crude bound
             stderr = np.sqrt(np.maximum(sq / n - np.abs(mean) ** 2, 0.0) / (n - 1))
             for key in (
@@ -607,7 +608,7 @@ class TestPhysics:
         taus = (0.0, 1.0, 2.0)
         params = SimConfig(dtau=1e-3, n_traj=2000, seed=41, chunk_size=500)
         run = run_ensemble(COUP, losses, INIT, taus, params)
-        n_of_tau = run.moment_table()[:, 0, N1].real
+        n_of_tau = moment_source(run, params.chunk_size)[:, 0, N1].real
         for tau, n in zip(taus, n_of_tau):
             assert n == pytest.approx(100.0 * math.exp(-2 * 0.05 * tau), rel=0.02)
 
@@ -615,7 +616,7 @@ class TestPhysics:
         losses = LossRates(gamma12=1e-3)
         params = SimConfig(dtau=1e-3, n_traj=1000, seed=43, chunk_size=500)
         run = run_ensemble(COUP, losses, INIT, (0.0, 2.0), params)
-        t0, t1 = run.moment_table()[:, 0].real
+        t0, t1 = moment_source(run, params.chunk_size)[:, 0].real
         for key in ((1, 0, 0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 1, 0, 0)):  # a1† a1, a2† a2
             assert t1[BASIS_INDEX[key]] < t0[BASIS_INDEX[key]] - 5.0
 
@@ -625,8 +626,8 @@ class TestPhysics:
         half = SimConfig(dtau=1e-3, n_traj=2000, seed=47, chunk_size=500)
         ra = run_ensemble(COUP, LOSSLESS, INIT, taus, base)
         rb = run_ensemble(COUP, LOSSLESS, INIT, taus, half)
-        ea = evaluate_criteria(ra.moment_table()[1:])
-        eb = evaluate_criteria(rb.moment_table()[1:], theta=ea.theta_opt)
+        ea = evaluate_criteria(moment_source(ra, base.chunk_size)[1:])
+        eb = evaluate_criteria(moment_source(rb, half.chunk_size)[1:], theta=ea.theta_opt)
         arr = ea.E_product[0]
         se = arr[1:].std(ddof=1) / math.sqrt(arr.size - 1)
         # identical initial ensembles, no noise: difference is pure
@@ -638,7 +639,7 @@ class TestPhysics:
         taus = tuple(np.linspace(0.0, 3.0, 4))
         params = SimConfig(dtau=1e-3, n_traj=4000, seed=53, chunk_size=500)
         run = run_ensemble(COUP, LOSSLESS, INIT, taus, params)
-        rw = evaluate_criteria(run.moment_table())
+        rw = evaluate_criteria(moment_source(run, params.chunk_size))
         re_ = evaluate_criteria(moment_table(COUP, INIT, taus), theta=rw.theta_opt)
         for field in ("E_product", "S_minus", "S_plus", "E_EPR_product", "duan_sum"):
             arr = getattr(rw, field)
@@ -654,7 +655,7 @@ class TestPhysics:
 
         params = SimConfig(dtau=1e-3, n_traj=10_000, seed=71, chunk_size=500)
         run = run_ensemble(COUP, LOSSLESS, INIT, (0.0,), params)
-        table = run.moment_table()
+        table = moment_source(run, params.chunk_size)
         m = spin_moments(table)
         s = squeezing(m, 0.0)[0]
         se = s[1:].std(ddof=1) / math.sqrt(s.size - 1)
@@ -670,7 +671,7 @@ class TestPhysics:
         run = run_ensemble(COUP, LOSSLESS, INIT, (0.0, 1.5), params)
         from twinwell.criteria import joint_moments
 
-        j = joint_moments(run.moment_table(), theta=0.1)
+        j = joint_moments(moment_source(run, params.chunk_size), theta=0.1)
         # identical wells: the two transverse means agree within noise
         assert j.mean_JY_C[1, 0] == pytest.approx(j.mean_JY_D[1, 0], rel=0.02)
 
@@ -678,7 +679,7 @@ class TestPhysics:
         coup = preset_couplings("B9p116G", 200.0, kappa=1.0)
         params = SimConfig(dtau=1e-3, n_traj=2000, seed=59, chunk_size=500)
         run = run_ensemble(coup, LOSSLESS, INIT, (0.0, 2.0), params)
-        r = evaluate_criteria(run.moment_table(), beam_splitter=False)
+        r = evaluate_criteria(moment_source(run, params.chunk_size), beam_splitter=False)
         arr = r.E_product[1]
         se = arr[1:].std(ddof=1) / math.sqrt(arr.size - 1)
         assert arr[0] < 1.0 - 3 * se
@@ -690,7 +691,8 @@ class TestPhysics:
 
         def minima(kappa):
             coup = preset_couplings("B9p116G", 200.0, kappa=kappa)
-            table = run_ensemble(coup, LOSSLESS, INIT, taus, params).moment_table()
+            sums = run_ensemble(coup, LOSSLESS, INIT, taus, params)
+            table = moment_source(sums, params.chunk_size)
             return {
                 bs: evaluate_criteria(table, beam_splitter=bs).E_product[:, 0].min()
                 for bs in (True, False)
