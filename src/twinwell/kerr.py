@@ -22,7 +22,10 @@ with λ_i = |α_i|².  Wells never couple under this Hamiltonian, so
 cross-site monomials factorize: `moment_table` tabulates the whole
 monomial basis for a grid of times from the closed form, and
 `fock_moment_table` from an independent truncated Fock-basis oracle
-that cross-checks it.
+that cross-checks it.  Both evaluate every well part of the basis once
+per distinct coherent amplitude, over all times at once (one
+`site_moment` call when the wells share α), and form each basis column
+as its well-A part times its well-B part.
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ def _abs2(x) -> float:
 
 
 def site_moment(
-    p1: int,
-    p2: int,
-    q1: int,
-    q2: int,
+    p1,
+    p2,
+    q1,
+    q2,
     alpha1,
     alpha2,
     g11: float,
@@ -55,39 +58,62 @@ def site_moment(
 ):
     """Closed-form <a1†^p1 a2†^p2 a1^q1 a2^q2>(tau) for one well.
 
-    `tau` may be a scalar or an array of times; the result has its shape.
+    `tau` may be a scalar or an array of times, and the exponents ints or
+    int arrays of one shape, a batch of well parts; the result has shape
+    (*tau.shape, *parts.shape).  Each time factor exp[λ(e^{-iuτ} - 1)] is
+    evaluated once per distinct (q1-p1, q2-p2) and each phase once per
+    distinct rate.  Every entry is the bits of the per-part product
+    ((prefactor·E1)·E2)·phase, whatever the batch.
     """
     alpha1 = complex(alpha1)
     alpha2 = complex(alpha2)
     tau = np.asarray(tau, dtype=float)
-    d1 = q1 - p1
-    d2 = q2 - p2
-    u1 = d1 * g11 + d2 * g12
-    u2 = d1 * g12 + d2 * g22
-    pref = 1.0 + 0j
+    exps = np.broadcast_arrays(p1, p2, q1, q2)
     c1 = alpha1.conjugate()
     c2 = alpha2.conjugate()
-    for _ in range(p1):
-        pref *= c1
-    for _ in range(q1):
-        pref *= alpha1
-    for _ in range(p2):
-        pref *= c2
-    for _ in range(q2):
-        pref *= alpha2
-    val = (
-        pref
-        * np.exp(_abs2(alpha1) * (np.exp(-1j * u1 * tau) - 1.0))
-        * np.exp(_abs2(alpha2) * (np.exp(-1j * u2 * tau) - 1.0))
-    )
-    phase_rate = (
-        0.5 * g11 * (p1 * (p1 - 1) - q1 * (q1 - 1))
-        + 0.5 * g22 * (p2 * (p2 - 1) - q2 * (q2 - 1))
-        + g12 * (p1 * p2 - q1 * q2)
-    )
-    if phase_rate != 0.0:
-        val = val * np.exp(1j * (tau * phase_rate))
-    return val
+    prefs, diff_row, rate_row = [], [], []
+    diffs = {}  # (q1-p1, q2-p2) -> row of the time factors
+    rates = {}  # nonzero phase rate -> row of the phases
+    for p1, p2, q1, q2 in zip(*(e.ravel().tolist() for e in exps)):
+        pref = 1.0 + 0j
+        for _ in range(p1):
+            pref *= c1
+        for _ in range(q1):
+            pref *= alpha1
+        for _ in range(p2):
+            pref *= c2
+        for _ in range(q2):
+            pref *= alpha2
+        prefs.append(pref)
+        diff_row.append(diffs.setdefault((q1 - p1, q2 - p2), len(diffs)))
+        phase_rate = (
+            0.5 * g11 * (p1 * (p1 - 1) - q1 * (q1 - 1))
+            + 0.5 * g22 * (p2 * (p2 - 1) - q2 * (q2 - 1))
+            + g12 * (p1 * p2 - q1 * q2)
+        )
+        rate_row.append(rates.setdefault(phase_rate, len(rates)) if phase_rate != 0.0 else -1)
+    # parts along axis 0, times along axis 1
+    t = tau.reshape(1, -1)
+    w1 = np.array([-1j * (d1 * g11 + d2 * g12) for d1, d2 in diffs])[:, None]
+    w2 = np.array([-1j * (d1 * g12 + d2 * g22) for d1, d2 in diffs])[:, None]
+    e1 = np.exp(_abs2(alpha1) * (np.exp(w1 * t) - 1.0))[diff_row]
+    e2 = np.exp(_abs2(alpha2) * (np.exp(w2 * t) - 1.0))[diff_row]
+    phases = np.exp(1j * (t * np.array(list(rates), dtype=float)[:, None]))
+    if tau.ndim == 0:
+        # numpy scalars, as a call for one time always multiplied them:
+        # their complex product need not round like the array loops'
+        val = []
+        for pref, f1, f2, row in zip(prefs, e1[:, 0], e2[:, 0], rate_row):
+            v = (pref * f1) * f2
+            val.append(v * phases[row, 0] if row >= 0 else v)
+        return np.array(val, dtype=complex).reshape(exps[0].shape)[()]
+    # out of place: numpy may round an in-place complex product of one
+    # element apart from the same product in a longer array
+    val = np.array(prefs, dtype=complex)[:, None] * e1 * e2
+    rate_row = np.array(rate_row, dtype=int)
+    turning = rate_row >= 0
+    val[turning] = val[turning] * phases[rate_row[turning]]
+    return val.T.reshape(tau.shape + exps[0].shape)
 
 
 def _site_parts(key):
@@ -95,34 +121,53 @@ def _site_parts(key):
     return (key[0], key[1], key[4], key[5]), (key[2], key[3], key[6], key[7])
 
 
+def _part_index():
+    """The distinct non-trivial well parts of the basis as a (4, n_parts)
+    exponent array, and for each basis key the columns of its well-A and
+    well-B part in a part table whose column 0 is the trivial part (1)."""
+    key_parts = [_site_parts(key) for key in BASIS_KEYS]
+    parts = sorted({p for pair in key_parts for p in pair} - {(0, 0, 0, 0)})
+    column = {p: j for j, p in enumerate([(0, 0, 0, 0)] + parts)}
+    a_col = np.array([column[a] for a, _ in key_parts])
+    b_col = np.array([column[b] for _, b in key_parts])
+    return np.array(parts).T, a_col, b_col
+
+
+_PARTS, _A_COL, _B_COL = _part_index()
+# basis columns filled per multiply, bounding the gathered temporaries
+_BLOCK = 64
+
+
 def _tabulate(initial, n_tau: int, site) -> np.ndarray:
     """Normal-ordered moments over the basis: (n_tau, 1, NBASIS).
 
-    `site(part, alpha)` gives the (n_tau,) moments of one well part
-    (p1, p2, q1, q2) for the coherent amplitude `alpha`.  Wells evolve
-    independently, so each monomial is the product of its two site parts,
-    and each distinct part is evaluated once.  The single ensemble row
+    `site(parts, alpha)` gives the (n_tau, n_parts) moments of the well
+    parts `parts`, a (4, n_parts) array of exponents (p1, p2, q1, q2), for
+    the coherent amplitude `alpha`.  It is called once per distinct
+    amplitude, for every part of the basis at once.  Wells evolve
+    independently, so each monomial is its well-A part times its well-B
+    part, gathered through `_A_COL` and `_B_COL`.  The single ensemble row
     keeps the layout of the stochastic engine's table.
     """
-    cache = {}
-
-    def part(p, alpha):
-        if not any(p):
-            return 1.0
-        if (p, alpha) not in cache:
-            cache[p, alpha] = site(p, alpha)
-        return cache[p, alpha]
-
+    tables = {}
+    for alpha in (initial.alpha_a, initial.alpha_b):
+        if alpha not in tables:
+            part_table = np.empty((n_tau, 1 + _PARTS.shape[1]), dtype=complex)
+            part_table[:, 0] = 1.0
+            part_table[:, 1:] = site(_PARTS, alpha)
+            tables[alpha] = part_table
+    a_parts, b_parts = tables[initial.alpha_a], tables[initial.alpha_b]
     table = np.empty((n_tau, 1, NBASIS), dtype=complex)
-    for i, key in enumerate(BASIS_KEYS):
-        a_part, b_part = _site_parts(key)
-        table[:, 0, i] = part(a_part, initial.alpha_a) * part(b_part, initial.alpha_b)
+    for start in range(0, NBASIS, _BLOCK):
+        cols = slice(start, start + _BLOCK)
+        np.multiply(a_parts[:, _A_COL[cols]], b_parts[:, _B_COL[cols]], out=table[:, 0, cols])
     return table
 
 
 def moment_table(couplings, initial, taus) -> np.ndarray:
-    """Exact moments over the basis for a grid of times, (n_tau, 1, NBASIS),
-    with `site_moment` vectorised over the times.
+    """Exact moments over the basis for a grid of times, (n_tau, 1, NBASIS):
+    one `site_moment` call per distinct amplitude, vectorised over the
+    times and the well parts.
 
     `site_moment` is looked up when called, so a wrapper installed on the
     module attribute sees every evaluation.
@@ -132,7 +177,7 @@ def moment_table(couplings, initial, taus) -> np.ndarray:
     return _tabulate(
         initial,
         taus.size,
-        lambda p, alpha: site_moment(*p, alpha, alpha, c.g11, c.g12, c.g22, taus),
+        lambda parts, alpha: site_moment(*parts, alpha, alpha, c.g11, c.g12, c.g22, taus),
     )
 
 
@@ -203,11 +248,9 @@ def fock_moment_table(couplings, initial, taus, cutoff: int | None = None) -> np
     per coherent amplitude for all times, and each well part summed on it."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     c = couplings
-    states = {}
 
-    def site(p, alpha):
-        if alpha not in states:
-            states[alpha] = _fock_state(alpha, alpha, c.g11, c.g12, c.g22, taus, cutoff)
-        return _fock_sum(states[alpha], *p)
+    def site(parts, alpha):
+        state = _fock_state(alpha, alpha, c.g11, c.g12, c.g22, taus, cutoff)
+        return np.stack([_fock_sum(state, *p) for p in parts.T.tolist()], axis=1)
 
     return _tabulate(initial, taus.size, site)

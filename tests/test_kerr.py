@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kerr_oracle import fock_site_moment
+from twinwell import kerr
 from twinwell.config import InitialState, PhysicalCouplings, preset_couplings
 from twinwell.errors import TruncationError
 from twinwell.kerr import fock_moment_table, moment_table, site_moment
@@ -32,6 +33,36 @@ def two_mode_first_moment(alpha, couplings, i: int, tau: float) -> complex:
         * cmath.exp(half * (cmath.exp(-1j * gi1 * tau) - 1.0))
         * cmath.exp(half * (cmath.exp(-1j * gi2 * tau) - 1.0))
     )
+
+
+def loop_site_moment(p1, p2, q1, q2, alpha1, alpha2, g11, g12, g22, taus):
+    """The closed form for one well part on an array of times, with the
+    products in the order site_moment keeps: ((prefactor·E1)·E2)·phase."""
+    alpha1, alpha2 = complex(alpha1), complex(alpha2)
+    lam1 = alpha1.real * alpha1.real + alpha1.imag * alpha1.imag
+    lam2 = alpha2.real * alpha2.real + alpha2.imag * alpha2.imag
+    taus = np.asarray(taus, dtype=float)
+    d1, d2 = q1 - p1, q2 - p2
+    pref = 1.0 + 0j
+    for _ in range(p1):
+        pref *= alpha1.conjugate()
+    for _ in range(q1):
+        pref *= alpha1
+    for _ in range(p2):
+        pref *= alpha2.conjugate()
+    for _ in range(q2):
+        pref *= alpha2
+    val = (
+        pref
+        * np.exp(lam1 * (np.exp(-1j * (d1 * g11 + d2 * g12) * taus) - 1.0))
+        * np.exp(lam2 * (np.exp(-1j * (d1 * g12 + d2 * g22) * taus) - 1.0))
+    )
+    rate = (
+        0.5 * g11 * (p1 * (p1 - 1) - q1 * (q1 - 1))
+        + 0.5 * g22 * (p2 * (p2 - 1) - q2 * (q2 - 1))
+        + g12 * (p1 * p2 - q1 * q2)
+    )
+    return val * np.exp(1j * (taus * rate)) if rate != 0.0 else val
 
 
 def max_rel_error(table, oracle):
@@ -146,7 +177,9 @@ class TestKerrMoment:
         assert moment_table(RATIOS, init, [tau])[0, 0, cross] == pytest.approx(va * vb, rel=1e-12)
 
     def test_table_matches_per_monomial_moments(self):
-        # the vectorised table against per-key, per-tau evaluation, both wells
+        # the vectorised table against per-key, per-tau evaluation, both
+        # wells, bit for bit: each tau is a one-element grid, so every
+        # product takes numpy's array arithmetic, as in the table
         init = InitialState(N_A=8.0, N_B=18.0, phase=0.4)
         taus = (0.0, 0.13, 2.5)
         g = (RATIOS.g11, RATIOS.g12, RATIOS.g22)
@@ -155,11 +188,59 @@ class TestKerrMoment:
         for key, i in BASIS_INDEX.items():
             a_part, b_part = key[0:2] + key[4:6], key[2:4] + key[6:8]
             for t, tau in enumerate(taus):
-                want = 1.0 + 0j
-                for part, alpha in ((a_part, init.alpha_a), (b_part, init.alpha_b)):
-                    if any(part):
-                        want *= complex(site_moment(*part, alpha, alpha, *g, tau))
-                assert table[t, 0, i] == pytest.approx(want, rel=1e-13, abs=1e-13)
+                a_val, b_val = (
+                    site_moment(*part, alpha, alpha, *g, [tau]) if any(part) else np.ones(1, complex)
+                    for part, alpha in ((a_part, init.alpha_a), (b_part, init.alpha_b))
+                )
+                assert table[t, 0, i] == (a_val * b_val)[0], (key, tau)
+
+
+class TestBatchedParts:
+    # site_moment over an array of well parts, against one call per part
+    ALPHAS = (2.1 * cmath.exp(0.4j), 3.3 * cmath.exp(-1.1j))  # alpha1 != alpha2, phase != 0
+    G = (RATIOS.g11, RATIOS.g12, RATIOS.g22)
+    PARTS = np.array([(0, 0, 1, 0), (1, 0, 0, 1), (2, 1, 0, 1), (0, 0, 0, 0), (1, 2, 2, 0), (3, 0, 1, 0)])
+
+    def test_parts_array_matches_per_part_calls(self):
+        taus = np.linspace(0.0, 3.0, 7)
+        got = site_moment(*self.PARTS.T, *self.ALPHAS, *self.G, taus)
+        assert got.shape == (7, len(self.PARTS))
+        for j, part in enumerate(self.PARTS.tolist()):
+            want = site_moment(*part, *self.ALPHAS, *self.G, taus)
+            assert got[:, j].tobytes() == want.tobytes(), part
+            assert np.array_equal(got[:, j], loop_site_moment(*part, *self.ALPHAS, *self.G, taus)), part
+
+    def test_scalar_time_matches_per_part_calls(self):
+        got = site_moment(*self.PARTS.T, *self.ALPHAS, *self.G, 0.7)
+        assert got.shape == (len(self.PARTS),)
+        for j, part in enumerate(self.PARTS.tolist()):
+            assert got[j] == site_moment(*part, *self.ALPHAS, *self.G, 0.7), part
+
+    def test_result_shape(self):
+        # (*tau.shape, *parts.shape); scalar parts keep the shape of tau
+        parts = self.PARTS.T.reshape(4, 2, 3)
+        assert site_moment(*parts, *self.ALPHAS, *self.G, np.zeros((4, 5))).shape == (4, 5, 2, 3)
+        assert site_moment(*parts, *self.ALPHAS, *self.G, 0.3).shape == (2, 3)
+        assert isinstance(site_moment(1, 0, 0, 1, *self.ALPHAS, *self.G, 0.3), np.complex128)
+        assert site_moment(1, 0, 0, 1, *self.ALPHAS, *self.G, [0.3]).shape == (1,)
+        assert site_moment(1, 0, 0, 1, *self.ALPHAS, *self.G, np.zeros((2, 3))).shape == (2, 3)
+
+    @pytest.mark.parametrize("n_b, calls", [(8.0, 1), (18.0, 2)])
+    def test_one_call_per_distinct_amplitude(self, monkeypatch, n_b, calls):
+        # moment_table looks site_moment up on the module when called, so
+        # a wrapper installed there (as a tracer does) sees every evaluation
+        seen = []
+
+        def counting(*args):
+            seen.append(args)
+            return site_moment(*args)
+
+        monkeypatch.setattr(kerr, "site_moment", counting)
+        init = InitialState(N_A=8.0, N_B=n_b, phase=0.4)
+        table = moment_table(RATIOS, init, (0.0, 0.13))
+        assert len(seen) == calls
+        monkeypatch.undo()
+        assert table.tobytes() == moment_table(RATIOS, init, (0.0, 0.13)).tobytes()
 
 
 class TestFockOracle:
