@@ -60,10 +60,9 @@ def site_moment(
 
     `tau` may be a scalar or an array of times, and the exponents ints or
     int arrays of one shape, a batch of well parts; the result has shape
-    (*tau.shape, *parts.shape).  Each time factor exp[λ(e^{-iuτ} - 1)] is
-    evaluated once per distinct (q1-p1, q2-p2) and each phase once per
-    distinct rate.  Every entry is the bits of the per-part product
-    ((prefactor·E1)·E2)·phase, whatever the batch.
+    (*tau.shape, *parts.shape).  Every entry is the per-part product
+    ((prefactor·E1)·E2)·phase, taken in that order over numpy arrays, so
+    its bits do not depend on the batch.
     """
     alpha1 = complex(alpha1)
     alpha2 = complex(alpha2)
@@ -71,9 +70,7 @@ def site_moment(
     exps = np.broadcast_arrays(p1, p2, q1, q2)
     c1 = alpha1.conjugate()
     c2 = alpha2.conjugate()
-    prefs, diff_row, rate_row = [], [], []
-    diffs = {}  # (q1-p1, q2-p2) -> row of the time factors
-    rates = {}  # nonzero phase rate -> row of the phases
+    prefs = []
     for p1, p2, q1, q2 in zip(*(e.ravel().tolist() for e in exps)):
         pref = 1.0 + 0j
         for _ in range(p1):
@@ -85,35 +82,25 @@ def site_moment(
         for _ in range(q2):
             pref *= alpha2
         prefs.append(pref)
-        diff_row.append(diffs.setdefault((q1 - p1, q2 - p2), len(diffs)))
-        phase_rate = (
-            0.5 * g11 * (p1 * (p1 - 1) - q1 * (q1 - 1))
-            + 0.5 * g22 * (p2 * (p2 - 1) - q2 * (q2 - 1))
-            + g12 * (p1 * p2 - q1 * q2)
-        )
-        rate_row.append(rates.setdefault(phase_rate, len(rates)) if phase_rate != 0.0 else -1)
-    # parts along axis 0, times along axis 1
+    p1, p2, q1, q2 = (e.ravel() for e in exps)
+    rates = (
+        0.5 * g11 * (p1 * (p1 - 1) - q1 * (q1 - 1))
+        + 0.5 * g22 * (p2 * (p2 - 1) - q2 * (q2 - 1))
+        + g12 * (p1 * p2 - q1 * q2)
+    )
+    turning = rates != 0.0
+    # each time factor once per distinct (q1-p1, q2-p2), each phase once
+    # per distinct rate; parts along axis 0, times along axis 1
+    (d1, d2), diff_row = np.unique(np.stack([q1 - p1, q2 - p2]), axis=1, return_inverse=True)
+    turn_rates, rate_row = np.unique(rates[turning], return_inverse=True)
     t = tau.reshape(1, -1)
-    w1 = np.array([-1j * (d1 * g11 + d2 * g12) for d1, d2 in diffs])[:, None]
-    w2 = np.array([-1j * (d1 * g12 + d2 * g22) for d1, d2 in diffs])[:, None]
-    e1 = np.exp(_abs2(alpha1) * (np.exp(w1 * t) - 1.0))[diff_row]
-    e2 = np.exp(_abs2(alpha2) * (np.exp(w2 * t) - 1.0))[diff_row]
-    phases = np.exp(1j * (t * np.array(list(rates), dtype=float)[:, None]))
-    if tau.ndim == 0:
-        # numpy scalars, as a call for one time always multiplied them:
-        # their complex product need not round like the array loops'
-        val = []
-        for pref, f1, f2, row in zip(prefs, e1[:, 0], e2[:, 0], rate_row):
-            v = (pref * f1) * f2
-            val.append(v * phases[row, 0] if row >= 0 else v)
-        return np.array(val, dtype=complex).reshape(exps[0].shape)[()]
+    e1 = np.exp(_abs2(alpha1) * (np.exp((-1j * (d1 * g11 + d2 * g12))[:, None] * t) - 1.0))
+    e2 = np.exp(_abs2(alpha2) * (np.exp((-1j * (d1 * g12 + d2 * g22))[:, None] * t) - 1.0))
+    val = np.array(prefs)[:, None] * e1[diff_row] * e2[diff_row]
     # out of place: numpy may round an in-place complex product of one
     # element apart from the same product in a longer array
-    val = np.array(prefs, dtype=complex)[:, None] * e1 * e2
-    rate_row = np.array(rate_row, dtype=int)
-    turning = rate_row >= 0
-    val[turning] = val[turning] * phases[rate_row[turning]]
-    return val.T.reshape(tau.shape + exps[0].shape)
+    val[turning] = val[turning] * np.exp(1j * (t * turn_rates[:, None]))[rate_row]
+    return val.T.reshape(tau.shape + exps[0].shape)[()]
 
 
 def _site_parts(key):

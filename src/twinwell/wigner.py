@@ -182,18 +182,13 @@ def drift(
     # |v|^2 from the interleaved (re, im) pairs: one contiguous product
     sq = v.view(float) * v.view(float)
     n = sq[..., ::2] + sq[..., 1::2]
-    c = couplings
+    g = np.array([[couplings.g11, couplings.g12], [couplings.g12, couplings.g22]])
+    kappa = -1j * np.array([couplings.kappa1, couplings.kappa2])[:, None, None]
     # mode (s, w) turns at the rate sum_s' g[s, s'] n[s', w] and tunnels
-    # to the other well of its species at kappa_s
-    rate = np.empty_like(n)
-    for s, (g_s1, g_s2) in enumerate(((c.g11, c.g12), (c.g12, c.g22))):
-        np.multiply(g_s1, n[0], out=rate[s])
-        rate[s] += g_s2 * n[1]
-    out = v * rate
+    # to the other well of its species at kappa[s]
+    out = v * (g[:, 0, None, None] * n[0] + g[:, 1, None, None] * n[1])
     out *= -1j
-    for s, kappa in enumerate((c.kappa1, c.kappa2)):
-        if kappa:
-            out[s] += (-1j * kappa) * v[s, ::-1]
+    out += kappa * v[:, ::-1]
     if losses.enabled:
         # inter-species loss couples the two species in one well; the
         # intra-species channel acts on species 2 only

@@ -209,12 +209,9 @@ class TestBatchedParts:
             want = site_moment(*part, *self.ALPHAS, *self.G, taus)
             assert got[:, j].tobytes() == want.tobytes(), part
             assert np.array_equal(got[:, j], loop_site_moment(*part, *self.ALPHAS, *self.G, taus)), part
-
-    def test_scalar_time_matches_per_part_calls(self):
-        got = site_moment(*self.PARTS.T, *self.ALPHAS, *self.G, 0.7)
-        assert got.shape == (len(self.PARTS),)
-        for j, part in enumerate(self.PARTS.tolist()):
-            assert got[j] == site_moment(*part, *self.ALPHAS, *self.G, 0.7), part
+        # a scalar time is a one-element grid
+        at_one = site_moment(*self.PARTS.T, *self.ALPHAS, *self.G, taus[3])
+        assert at_one.tobytes() == got[3].tobytes()
 
     def test_result_shape(self):
         # (*tau.shape, *parts.shape); scalar parts keep the shape of tau
