@@ -25,7 +25,12 @@ is a view indexed (species, well, trajectory), species 1 = (α1, β1) and
 species 2 = (α2, β2).  `drift` and `_noise_term` act on that view as a
 whole: tunneling swaps the well axis, the Kerr and two-body loss rates
 combine the species axis.  The per-chunk monomial tables are
-column-major too, so every product and per-column sum is contiguous.
+column-major too, so every product and per-column sum is contiguous;
+they are built in 32 runs of columns, one product per run
+(`monomial_columns`).  `moment_source` converts the sums to normal
+order with one product per block of taus; a row's result does not
+depend on the rows beside it, so the bytes are those of one product
+per tau.
 The noise increments stay in the Philox stream's order (trajectory,
 column, re/im) and are read as complex.
 
@@ -52,6 +57,7 @@ Linear-loss placement is configurable (`linear_loss_mode`):
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 
@@ -65,19 +71,27 @@ from .operators import BASIS_INDEX, BASIS_KEYS, NBASIS
 MODE_TO_ZCOL = (0, 2, 1, 3)
 
 
-def _build_plan():
-    """(column, parent column, variable column in the 8-var table) per
-    non-constant basis monomial: each is its parent times one variable."""
-    plan = []
-    for i, k in enumerate(BASIS_KEYS[1:], start=1):
-        j = next(pos for pos, e in enumerate(k) if e)
+def _build_runs():
+    """(first column, first parent, variable, length) of each run of
+    non-constant basis monomials: column c + i is column p + i times
+    variable v of the 8-variable table, for i < length, and every parent
+    lies before the run's first column.  The 494 columns make 32 runs."""
+    runs = []
+    for col, k in enumerate(BASIS_KEYS[1:], start=1):
+        var = next(pos for pos, e in enumerate(k) if e)
         parent = list(k)
-        parent[j] -= 1
-        plan.append((i, BASIS_INDEX[tuple(parent)], j))
-    return tuple(plan)
+        parent[var] -= 1
+        parent = BASIS_INDEX[tuple(parent)]
+        if runs:
+            c, p, v, n = runs[-1]
+            if (parent, var) == (p + n, v) and parent < c:
+                runs[-1] = (c, p, v, n + 1)
+                continue
+        runs.append((col, parent, var, 1))
+    return tuple(runs)
 
 
-_BUILD_PLAN = _build_plan()
+_BUILD_RUNS = _build_runs()
 
 
 def _cahill_matrix() -> np.ndarray:
@@ -109,8 +123,9 @@ CAHILL = _cahill_matrix()
 def monomial_columns(z: np.ndarray) -> np.ndarray:
     """(n, NBASIS) table of conj(z)^p z^q monomial values for each trajectory.
 
-    Built column by column in column-major order, so every product and
-    the per-column sums run over contiguous memory.
+    Built in column-major order, one product per run of columns
+    (`_BUILD_RUNS`), so every product and the per-column sums run over
+    contiguous memory.
     """
     n = z.shape[0]
     out = np.empty((n, NBASIS), dtype=complex, order="F")
@@ -119,9 +134,14 @@ def monomial_columns(z: np.ndarray) -> np.ndarray:
         var8[:, m] = np.conj(z[:, col])
         var8[:, 4 + m] = z[:, col]
     out[:, 0] = 1.0
-    for col, parent, var in _BUILD_PLAN:
-        np.multiply(out[:, parent], var8[:, var], out=out[:, col])
+    for c, p, v, k in _BUILD_RUNS:
+        np.multiply(out[:, p : p + k], var8[:, v, None], out=out[:, c : c + k])
     return out
+
+
+# float input of one Cahill product, bytes: larger operands touch more of
+# the BLAS library's packing buffers and raise the peak memory
+CAHILL_BLOCK_BYTES = 1 << 18
 
 
 def moment_source(sums: np.ndarray, chunk_size: int) -> np.ndarray:
@@ -137,12 +157,18 @@ def moment_source(sums: np.ndarray, chunk_size: int) -> np.ndarray:
     n_tau, n_chunks, _ = sums.shape
     n_ens = 1 + n_chunks
     table = np.empty((n_tau, n_ens, NBASIS), dtype=complex)
-    for out, s in zip(table, sums):
-        weyl = np.vstack([s.sum(axis=0) / (n_chunks * chunk_size), s / chunk_size])
-        # CAHILL is real: convert the real and imaginary parts in one product
-        normal = np.vstack([weyl.real, weyl.imag]) @ CAHILL.T
-        out.real = normal[:n_ens]
-        out.imag = normal[n_ens:]
+    sums.sum(axis=1, out=table[:, 0])
+    table[:, 0] /= n_chunks * chunk_size
+    np.divide(sums, chunk_size, out=table[:, 1:])
+    # CAHILL is real: one product converts the real and imaginary parts of
+    # a block of taus in place, and no row's result depends on the block
+    block = max(1, CAHILL_BLOCK_BYTES // (2 * n_ens * NBASIS * 8))
+    for lo in range(0, n_tau, block):
+        weyl = table[lo : lo + block]
+        normal = np.stack([weyl.real, weyl.imag]).reshape(-1, NBASIS) @ CAHILL.T
+        normal = normal.reshape(2, *weyl.shape)
+        weyl.real = normal[0]
+        weyl.imag = normal[1]
     return table
 
 
@@ -170,6 +196,19 @@ def _modes(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z.T).reshape(2, 2, -1)
 
 
+@functools.lru_cache(maxsize=8)
+def _rate_arrays(couplings: PhysicalCouplings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only columns g[:, 0], g[:, 1] of the coupling matrix and the
+    tunneling rates kappa, each shaped (species, 1, 1) to act on the
+    (species, well, traj) view."""
+    g = np.array([[couplings.g11, couplings.g12], [couplings.g12, couplings.g22]])
+    kappa = np.array([couplings.kappa1, couplings.kappa2])
+    arrays = g[:, 0, None, None], g[:, 1, None, None], kappa[:, None, None]
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def drift(
     z: np.ndarray,
     couplings: PhysicalCouplings,
@@ -182,13 +221,14 @@ def drift(
     # |v|^2 from the interleaved (re, im) pairs: one contiguous product
     sq = v.view(float) * v.view(float)
     n = sq[..., ::2] + sq[..., 1::2]
-    g = np.array([[couplings.g11, couplings.g12], [couplings.g12, couplings.g22]])
-    kappa = -1j * np.array([couplings.kappa1, couplings.kappa2])[:, None, None]
+    g0, g1, kappa = _rate_arrays(couplings)
     # mode (s, w) turns at the rate sum_s' g[s, s'] n[s', w] and tunnels
-    # to the other well of its species at kappa[s]
-    out = v * (g[:, 0, None, None] * n[0] + g[:, 1, None, None] * n[1])
+    # to the other well of its species at kappa[s]; the factor -i only
+    # swaps and negates, so applying it to the sum keeps every bit
+    out = v * (g0 * n[0] + g1 * n[1])
+    if couplings.tunneling:
+        out += kappa * v[:, ::-1]
     out *= -1j
-    out += kappa * v[:, ::-1]
     if losses.enabled:
         # inter-species loss couples the two species in one well; the
         # intra-species channel acts on species 2 only
@@ -254,10 +294,13 @@ def step(
     for _ in range(MIDPOINT_ITERATIONS):
         # mid = state + dz(mid) / 2, built in place on the fresh drift array
         dz = drift(mid, couplings, losses, linear_loss_mode)
-        dz *= dtau
         if noise is not None and losses.enabled:
+            dz *= dtau
             dz += _noise_term(mid, losses, noise, linear_loss_mode)
-        dz *= 0.5
+            dz *= 0.5
+        else:
+            # (dz dtau) / 2 == dz (dtau / 2) exactly: halving is exact
+            dz *= 0.5 * dtau
         dz += state
         mid = dz
     mid *= 2.0
@@ -286,7 +329,7 @@ def _chunk_rng(seed: int, chunk_id: int) -> np.random.Generator:
 
 
 # steps of loss noise each chunk draws per Philox call
-NOISE_BLOCK = 4
+NOISE_BLOCK = 8
 
 
 def _noise_ahead(rngs, csize: int, ncols: int, hs):

@@ -94,8 +94,18 @@ class TestDeterminism:
                     "wigner": {"n_traj": 1000, "chunk_size": 250, "dtau": 1e-3, "seed": 5},
                 },
             ),
+            (
+                # 13 taus of 5 ensemble rows: three Cahill products of
+                # 6, 6 and 1 taus
+                ["dynamic"],
+                {
+                    "preset": {"tag": "B9p116G", "kappa": 1.0},
+                    "sweep": {"tau_max": 0.06, "n_tau": 13},
+                    "wigner": SMALL_WIGNER,
+                },
+            ),
         ],
-        ids=["exact", "wigner"],
+        ids=["exact", "wigner", "wigner_cahill_blocks"],
     )
     def test_bytes_independent_of_blas_threads(self, tmp_path, argv, doc):
         # the moment conversion and the criteria call BLAS/LAPACK; their

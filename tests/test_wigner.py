@@ -80,6 +80,77 @@ def drift_reference(z, couplings, losses, linear_loss_mode="symmetric"):
     return out
 
 
+def drift_v026(z, couplings, losses, linear_loss_mode="symmetric"):
+    """`drift` of v0.2.6, which built the coupling arrays on every call
+    and added the tunneling term after the factor -i: the byte reference
+    for `drift`."""
+    v = np.ascontiguousarray(z.T).reshape(2, 2, -1)
+    sq = v.view(float) * v.view(float)
+    n = sq[..., ::2] + sq[..., 1::2]
+    g = np.array([[couplings.g11, couplings.g12], [couplings.g12, couplings.g22]])
+    kappa = -1j * np.array([couplings.kappa1, couplings.kappa2])[:, None, None]
+    out = v * (g[:, 0, None, None] * n[0] + g[:, 1, None, None] * n[1])
+    out *= -1j
+    out += kappa * v[:, ::-1]
+    if losses.enabled:
+        loss = losses.gamma12 * n[::-1]
+        if losses.gamma22:
+            loss[1] += 2.0 * losses.gamma22 * n[1]
+        out -= v * loss
+        if losses.gamma1:
+            flat, zt = out.reshape(4, -1), z.T
+            for col in _linear_loss_cols(linear_loss_mode):
+                flat[col] -= losses.gamma1 * zt[col]
+    return out.reshape(4, -1).T
+
+
+def step_v026(state, couplings, losses, dtau, noise=None, linear_loss_mode="symmetric"):
+    """`step` of v0.2.6 on `drift_v026`, scaling by dtau and by 1/2 in
+    turn: the byte reference for `step`."""
+    mid = state
+    for _ in range(wigner.MIDPOINT_ITERATIONS):
+        dz = drift_v026(mid, couplings, losses, linear_loss_mode)
+        dz *= dtau
+        if noise is not None and losses.enabled:
+            dz += _noise_term(mid, losses, noise, linear_loss_mode)
+        dz *= 0.5
+        dz += state
+        mid = dz
+    mid *= 2.0
+    mid -= state
+    return mid
+
+
+def monomial_columns_per_column(z):
+    """`monomial_columns` of v0.2.6, one product per column, each column
+    its parent times the first variable of its key: the byte reference
+    for the runs of columns."""
+    var8 = np.conj(z[:, list(wigner.MODE_TO_ZCOL)])
+    var8 = np.concatenate([var8, z[:, list(wigner.MODE_TO_ZCOL)]], axis=1)
+    out = np.empty((z.shape[0], NBASIS), dtype=complex, order="F")
+    out[:, 0] = 1.0
+    for col, key in enumerate(BASIS_KEYS[1:], start=1):
+        var = next(pos for pos, e in enumerate(key) if e)
+        parent = list(key)
+        parent[var] -= 1
+        np.multiply(out[:, BASIS_INDEX[tuple(parent)]], var8[:, var], out=out[:, col])
+    return out
+
+
+def moment_source_per_tau(sums, chunk_size):
+    """`moment_source` of v0.2.6, one Cahill product per tau: the byte
+    reference for the products over blocks of taus."""
+    n_tau, n_chunks, _ = sums.shape
+    n_ens = 1 + n_chunks
+    table = np.empty((n_tau, n_ens, NBASIS), dtype=complex)
+    for out, s in zip(table, sums):
+        weyl = np.vstack([s.sum(axis=0) / (n_chunks * chunk_size), s / chunk_size])
+        normal = np.vstack([weyl.real, weyl.imag]) @ CAHILL.T
+        out.real = normal[:n_ens]
+        out.imag = normal[n_ens:]
+    return table
+
+
 def run_ensemble_serial(couplings, losses, initial, taus, params, chunk_offset=0):
     """`run_ensemble` of v0.2.4, which drew each step's noise from every
     chunk's stream in turn on the stepping thread: the reference for the
@@ -225,6 +296,40 @@ class TestVectorisedAgainstReference:
         c = step(z, ASYM, losses, 1e-3, dz, linear_loss_mode="printed")
         f = step(np.asfortranarray(z), ASYM, losses, 1e-3, dz, linear_loss_mode="printed")
         assert np.array_equal(c, f)
+
+
+class TestSameBytesAsV026:
+    """`drift` and `step` keep the bits of their v0.2.6 formulation."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.7])
+    @pytest.mark.parametrize("losses,mode", LOSS_CASES)
+    def test_drift(self, losses, mode, kappa, order):
+        coup = dataclasses.replace(ASYM, kappa1=kappa, kappa2=kappa / 2)
+        rng = np.random.default_rng(41)
+        z = rng.normal(size=(37, 4)) + 1j * rng.normal(size=(37, 4))
+        z = np.asarray(z, order=order)
+        got = drift(z, coup, losses, mode)
+        assert got.tobytes() == drift_v026(z, coup, losses, mode).tobytes()
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.7])
+    @pytest.mark.parametrize(
+        "losses,mode",
+        [(LOSSLESS, "symmetric"), (LossRates(gamma1=0.1, gamma12=0.2, gamma22=0.3), "printed")],
+    )
+    def test_fifty_steps(self, losses, mode, kappa):
+        coup = dataclasses.replace(ASYM, kappa1=kappa, kappa2=kappa / 2)
+        rng = np.random.default_rng(42)
+        z = np.asfortranarray(rng.normal(size=(37, 4)) + 1j * rng.normal(size=(37, 4)))
+        want = z
+        ncols = n_noise_columns(mode)
+        for _ in range(50):
+            noise = None
+            if losses.enabled:
+                noise = 0.02 * (rng.normal(size=(37, ncols)) + 1j * rng.normal(size=(37, ncols)))
+            z = step(z, coup, losses, 1e-3, noise, mode)
+            want = step_v026(want, coup, losses, 1e-3, noise, mode)
+        assert z.tobytes() == want.tobytes()
 
 
 class TestDiffusion:
@@ -545,6 +650,31 @@ class TestMomentConversion:
         key = (0, 2, 0, 0, 1, 0, 1, 0)
         want = np.conj(z[:, 2]) ** 2 * z[:, 0] * z[:, 1]
         assert np.allclose(cols[:, BASIS_INDEX[key]], want)
+
+    def test_column_runs_cover_the_basis_once(self):
+        built = {0}
+        for c, p, v, k in wigner._BUILD_RUNS:
+            assert set(range(p, p + k)) <= built  # every parent precedes its run
+            cols = set(range(c, c + k))
+            assert not cols & built
+            built |= cols
+        assert built == set(range(NBASIS))
+
+    def test_column_runs_same_bytes_as_per_column(self):
+        rng = np.random.default_rng(5)
+        z = np.asfortranarray(rng.normal(size=(301, 4)) + 1j * rng.normal(size=(301, 4)))
+        assert monomial_columns(z).tobytes() == monomial_columns_per_column(z).tobytes()
+
+    @pytest.mark.parametrize("n_chunks", [2, 11])
+    def test_blocks_same_bytes_as_per_tau(self, n_chunks):
+        block = wigner.CAHILL_BLOCK_BYTES // (2 * (1 + n_chunks) * NBASIS * 8)
+        assert block >= 2
+        rng = np.random.default_rng(n_chunks)
+        for n_tau in (1, block, block + 1):
+            shape = (n_tau, n_chunks, NBASIS)
+            sums = 50.0 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            want = moment_source_per_tau(sums, 20)
+            assert moment_source(sums, 20).tobytes() == want.tobytes()
 
     def test_vacuum_ensemble(self):
         params = SimConfig(n_traj=20_000, seed=17, chunk_size=5000)
