@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -178,6 +178,9 @@ def run_meta(cfg: RunConfig, command: str, engine: str, beam_splitter: bool | No
     return meta
 
 
+VALIDATE_CHUNKS = 8
+
+
 def validation_report(cfg: RunConfig, n_traj: int | None = None):
     """Oracle suites: closed form vs Fock basis over the whole moment
     table, stochastic vs exact.
@@ -203,15 +206,17 @@ def validation_report(cfg: RunConfig, n_traj: int | None = None):
         f"max relative error {worst:.3e} (tolerance 1e-8)"
     )
 
+    # the standard error is the spread of VALIDATE_CHUNKS chunk values,
+    # whatever the config's chunk_size: 2 chunks give a single difference
     n_traj = n_traj or min(cfg.wigner.n_traj, 4000)
-    n_traj -= n_traj % cfg.wigner.chunk_size
-    n_traj = max(n_traj, 2 * cfg.wigner.chunk_size)
+    n_traj = max(n_traj - n_traj % VALIDATE_CHUNKS, 2 * VALIDATE_CHUNKS)
+    params = replace(cfg.wigner, n_traj=n_traj, chunk_size=n_traj // VALIDATE_CHUNKS)
     taus = tuple(np.linspace(0.0, 2.0, 5))
     if cfg.couplings.tunneling or cfg.losses.enabled:
         lines.append("[SKIP] stochastic vs exact: requires zero tunneling and losses")
     else:
-        sums = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, taus, cfg.wigner, n_traj=n_traj)
-        rw = evaluate_criteria(moment_source(sums, cfg.wigner.chunk_size))
+        sums = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, taus, params)
+        rw = evaluate_criteria(moment_source(sums, params.chunk_size))
         re_ = evaluate_criteria(moment_table(cfg.couplings, cfg.initial, taus), theta=rw.theta_opt)
         chunks = rw.E_product[:, 1:]
         se = chunks.std(ddof=1, axis=1) / math.sqrt(chunks.shape[1])
@@ -220,7 +225,8 @@ def validation_report(cfg: RunConfig, n_traj: int | None = None):
         passed = worst_dev < 4.0
         ok &= passed
         lines.append(
-            f"[{'PASS' if passed else 'FAIL'}] stochastic vs exact (n_traj={n_traj}): "
+            f"[{'PASS' if passed else 'FAIL'}] stochastic vs exact "
+            f"(n_traj={n_traj} in {VALIDATE_CHUNKS} chunks): "
             f"max |E_product| deviation {worst_dev:.2f} standard errors (limit 4)"
         )
     return lines, bool(ok)

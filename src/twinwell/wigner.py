@@ -8,8 +8,8 @@ integrated through
 
 with the drift and diffusion of the dimensionless master equation.  The
 complex Wiener increments satisfy <dZ* dZ> = dτ, <dZ dZ> = 0.  Raw path
-averages estimate symmetric-ordered moments; `CAHILL` converts them to
-normal order per mode via the s-ordering expansion
+averages estimate symmetric-ordered moments; `moment_source` converts
+them to normal order per mode via the s-ordering expansion
 
     a†^p a^q = sum_k k! C(p,k) C(q,k) (-1/2)^k {a†^(p-k) a^(q-k)}_sym.
 
@@ -27,10 +27,10 @@ whole: tunneling swaps the well axis, the Kerr and two-body loss rates
 combine the species axis.  The per-chunk monomial tables are
 column-major too, so every product and per-column sum is contiguous;
 they are built in 32 runs of columns, one product per run
-(`monomial_columns`).  `moment_source` converts the sums to normal
-order with one product per block of taus; a row's result does not
-depend on the rows beside it, so the bytes are those of one product
-per tau.
+(`monomial_columns`).  `moment_source` applies the expansion as its
+190 off-diagonal terms (`_CAHILL_TERMS`), in at most 3 gather-multiply-
+add passes over the whole table and with no BLAS call, so each moment's
+bytes do not depend on the rows beside it or on a BLAS build.
 The noise increments stay in the Philox stream's order (trajectory,
 column, re/im) and are read as complex.
 
@@ -94,13 +94,24 @@ def _build_runs():
 _BUILD_RUNS = _build_runs()
 
 
-def _cahill_matrix() -> np.ndarray:
-    """M with normal_moments = M @ symmetric_moments (per-mode expansion)."""
-    m = np.zeros((NBASIS, NBASIS))
+def _cahill_terms():
+    """Off-diagonal terms of the per-mode s-ordering map, grouped by rank.
+
+    Row i of the map (normal moment i from the symmetric ones) is the
+    symmetric moment i plus at most 3 terms, each a coefficient times a
+    lower-order symmetric moment.  Returns the rows that carry terms and,
+    for each rank r, (positions in those rows, columns, coefficients) of
+    every row's r-th term in ascending column order: 190 terms in 174
+    rows.
+    """
+    rows, ranked = [], ([], [], [])
     for i, key in enumerate(BASIS_KEYS):
         p, q = key[:4], key[4:]
         ranges = [range(min(p[j], q[j]) + 1) for j in range(4)]
+        row = {}
         for kk in itertools.product(*ranges):
+            if not any(kk):
+                continue
             coeff = 1.0
             for j in range(4):
                 if kk[j]:
@@ -113,11 +124,18 @@ def _cahill_matrix() -> np.ndarray:
             tgt = tuple(p[j] - kk[j] for j in range(4)) + tuple(
                 q[j] - kk[j] for j in range(4)
             )
-            m[i, BASIS_INDEX[tgt]] += coeff
-    return m
+            row[BASIS_INDEX[tgt]] = coeff
+        if row:
+            for rank, col in enumerate(sorted(row)):
+                ranked[rank].append((len(rows), col, row[col]))
+            rows.append(i)
+    return np.array(rows), tuple(
+        (np.array(pos), np.array(cols), np.array(coeffs)[:, None])
+        for pos, cols, coeffs in (zip(*terms) for terms in ranked)
+    )
 
 
-CAHILL = _cahill_matrix()
+_CAHILL_ROWS, _CAHILL_TERMS = _cahill_terms()
 
 
 def monomial_columns(z: np.ndarray) -> np.ndarray:
@@ -139,11 +157,6 @@ def monomial_columns(z: np.ndarray) -> np.ndarray:
     return out
 
 
-# float input of one Cahill product, bytes: larger operands touch more of
-# the BLAS library's packing buffers and raise the peak memory
-CAHILL_BLOCK_BYTES = 1 << 18
-
-
 def moment_source(sums: np.ndarray, chunk_size: int) -> np.ndarray:
     """Normal-ordered moment table of a run.
 
@@ -155,20 +168,19 @@ def moment_source(sums: np.ndarray, chunk_size: int) -> np.ndarray:
     NBASIS).
     """
     n_tau, n_chunks, _ = sums.shape
-    n_ens = 1 + n_chunks
-    table = np.empty((n_tau, n_ens, NBASIS), dtype=complex)
+    table = np.empty((n_tau, 1 + n_chunks, NBASIS), dtype=complex)
     sums.sum(axis=1, out=table[:, 0])
     table[:, 0] /= n_chunks * chunk_size
     np.divide(sums, chunk_size, out=table[:, 1:])
-    # CAHILL is real: one product converts the real and imaginary parts of
-    # a block of taus in place, and no row's result depends on the block
-    block = max(1, CAHILL_BLOCK_BYTES // (2 * n_ens * NBASIS * 8))
-    for lo in range(0, n_tau, block):
-        weyl = table[lo : lo + block]
-        normal = np.stack([weyl.real, weyl.imag]).reshape(-1, NBASIS) @ CAHILL.T
-        normal = normal.reshape(2, *weyl.shape)
-        weyl.real = normal[0]
-        weyl.imag = normal[1]
+    # the map is real: act on the real and imaginary parts as floats.  Each
+    # row adds its terms from zero in ascending column order, then its own
+    # symmetric moment, reading only the symmetric moments
+    weyl = table.view(float).reshape(-1, NBASIS, 2)
+    normal = np.zeros((weyl.shape[0], len(_CAHILL_ROWS), 2))
+    for pos, cols, coeffs in _CAHILL_TERMS:
+        normal[:, pos] += coeffs * weyl[:, cols]
+    normal += weyl[:, _CAHILL_ROWS]
+    weyl[:, _CAHILL_ROWS] = normal
     return table
 
 
@@ -246,7 +258,7 @@ def drift(
 def _noise_term(
     z: np.ndarray, losses: LossRates, dz_noise: np.ndarray, linear_loss_mode: str
 ) -> np.ndarray:
-    """B(z) @ dZ for the noise matrix B of the loss channels.
+    """B(z) dZ for the noise matrix B of the loss channels.
 
     Columns 1-4 of B are the two-body loss channels (inter-species at
     wells A, B; intra-species at wells A, B); the remaining columns

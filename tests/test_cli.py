@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import twinwell
+from twinwell import sweeps
 from twinwell.cli import main
 
 
@@ -95,8 +97,7 @@ class TestDeterminism:
                 },
             ),
             (
-                # 13 taus of 5 ensemble rows: three Cahill products of
-                # 6, 6 and 1 taus
+                # tunneling, 13 taus of 5 ensemble rows
                 ["dynamic"],
                 {
                     "preset": {"tag": "B9p116G", "kappa": 1.0},
@@ -108,8 +109,9 @@ class TestDeterminism:
         ids=["exact", "wigner", "wigner_cahill_blocks"],
     )
     def test_bytes_independent_of_blas_threads(self, tmp_path, argv, doc):
-        # the moment conversion and the criteria call BLAS/LAPACK; their
-        # results must not depend on how many threads those libraries use
+        # the criteria's angle solve calls LAPACK (the moment conversion
+        # calls no BLAS); its results must not depend on how many threads
+        # the library uses
         root = Path(__file__).resolve().parents[1]
         cfg = str(root / "configs" / doc) if isinstance(doc, str) else write_cfg(tmp_path, doc)
         src = str(root / "src")
@@ -298,6 +300,38 @@ class TestValidate:
         assert code == 0
         assert "[PASS] closed form vs Fock oracle" in out
         assert "[PASS] stochastic vs exact" in out
+
+    def test_validate_example_config_passes(self, capsys):
+        # the standard error comes from 8 chunks of 125 trajectories; with
+        # the config's 2 chunks of 500 it was one difference, and this
+        # command failed or passed by seed
+        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "two_step_n2000.json")
+        code, out, _ = run_cli(capsys, "validate", "--config", cfg, "--traj", "1000")
+        assert code == 0, out
+        assert "[PASS] stochastic vs exact (n_traj=1000 in 8 chunks)" in out
+
+    @pytest.mark.parametrize("offset, want", [(3.5, 0), (4.5, 1)])
+    def test_validate_limit_is_4_standard_errors(self, capsys, tmp_path, monkeypatch, offset, want):
+        # set the stochastic E_product `offset` standard errors above the
+        # exact one at every tau
+        real = sweeps.evaluate_criteria
+        stochastic = []
+
+        def shifted(table, theta=None, **kwargs):
+            r = real(table, theta=theta, **kwargs)
+            if theta is None:
+                stochastic.append(r.E_product)
+            else:
+                e = stochastic[0]
+                se = e[:, 1:].std(ddof=1, axis=1) / math.sqrt(e.shape[1] - 1)
+                e[:, 0] = r.E_product[:, 0] + offset * se
+            return r
+
+        monkeypatch.setattr(sweeps, "evaluate_criteria", shifted)
+        cfg = write_cfg(tmp_path, {"wigner": {"n_traj": 400, "dtau": 1e-3}})
+        code, out, _ = run_cli(capsys, "validate", "--config", cfg)
+        assert code == want, out
+        assert f"deviation {offset:.2f} standard errors (limit 4)" in out
 
     def test_validate_skips_with_tunneling(self, capsys, tmp_path):
         cfg = write_cfg(

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 import os
 import subprocess
@@ -17,7 +19,6 @@ from twinwell.kerr import moment_table
 from twinwell.wigner import (
     BASIS_INDEX,
     BASIS_KEYS,
-    CAHILL,
     NBASIS,
     _chunk_rng,
     _linear_loss_cols,
@@ -137,18 +138,57 @@ def monomial_columns_per_column(z):
     return out
 
 
-def moment_source_per_tau(sums, chunk_size):
-    """`moment_source` of v0.2.6, one Cahill product per tau: the byte
-    reference for the products over blocks of taus."""
-    n_tau, n_chunks, _ = sums.shape
-    n_ens = 1 + n_chunks
-    table = np.empty((n_tau, n_ens, NBASIS), dtype=complex)
-    for out, s in zip(table, sums):
-        weyl = np.vstack([s.sum(axis=0) / (n_chunks * chunk_size), s / chunk_size])
-        normal = np.vstack([weyl.real, weyl.imag]) @ CAHILL.T
-        out.real = normal[:n_ens]
-        out.imag = normal[n_ens:]
-    return table
+@functools.lru_cache(maxsize=2)
+def ordering_matrix(half=-0.5):
+    """Dense (NBASIS, NBASIS) per-mode s-ordering expansion
+
+        a†^p a^q -> sum_k k! C(p,k) C(q,k) half^k {a†^(p-k) a^(q-k)},
+
+    the Cahill map from symmetric to normal order at half = -1/2 and its
+    inverse at half = +1/2: the oracle for `moment_source`."""
+    m = np.zeros((NBASIS, NBASIS))
+    for i, key in enumerate(BASIS_KEYS):
+        p, q = key[:4], key[4:]
+        ranges = [range(min(p[j], q[j]) + 1) for j in range(4)]
+        for kk in itertools.product(*ranges):
+            coeff = 1.0
+            for j in range(4):
+                if kk[j]:
+                    coeff *= (
+                        math.comb(p[j], kk[j])
+                        * math.comb(q[j], kk[j])
+                        * math.factorial(kk[j])
+                        * half ** kk[j]
+                    )
+            tgt = tuple(p[j] - kk[j] for j in range(4)) + tuple(
+                q[j] - kk[j] for j in range(4)
+            )
+            m[i, BASIS_INDEX[tgt]] += coeff
+    m.flags.writeable = False
+    return m
+
+
+def weyl_table(sums, chunk_size):
+    """The symmetric-ordered table `moment_source` starts from: the merged
+    ensemble, then each chunk."""
+    merged = sums.sum(axis=1, keepdims=True) / (sums.shape[1] * chunk_size)
+    return np.concatenate([merged, sums / chunk_size], axis=1)
+
+
+def cahill_reference(weyl):
+    """Normal-ordered moments of a symmetric-ordered table, one row of the
+    dense map at a time and without BLAS: each row adds its off-diagonal
+    terms from zero in ascending column order, then its diagonal."""
+    m = ordering_matrix()
+    out = np.empty_like(weyl)
+    for part, dst in ((weyl.real, out.real), (weyl.imag, out.imag)):
+        for i in range(NBASIS):
+            acc = np.zeros(part.shape[:-1])
+            cols = np.flatnonzero(m[i])
+            for col in cols[cols != i]:
+                acc = acc + m[i, col] * part[..., col]
+            dst[..., i] = acc + part[..., i]
+    return out
 
 
 def run_ensemble_serial(couplings, losses, initial, taus, params, chunk_offset=0):
@@ -603,13 +643,14 @@ class TestNoiseDrawnAhead:
 
     def test_import_loads_no_thread_pool(self):
         # concurrent.futures pulls in logging, which costs every run's
-        # start-up; only a lossy run's noise draws may import it
+        # start-up; only a lossy run's noise draws may import it.  numpy.ma
+        # (which np.unique on an int array imports) costs start-up too
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
         probe = (
             "import sys, twinwell.sweeps; "
-            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+            "print(sorted({'concurrent.futures', 'logging', 'numpy.ma'} & set(sys.modules)))"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
@@ -620,27 +661,45 @@ class TestNoiseDrawnAhead:
 
 class TestMomentConversion:
     def test_cahill_matrix_inverts_against_weyl_expansion(self):
-        import itertools
+        assert np.allclose(
+            ordering_matrix(+0.5) @ ordering_matrix(), np.eye(NBASIS), atol=1e-12
+        )
 
-        inv = np.zeros((NBASIS, NBASIS))
-        for i, key in enumerate(BASIS_KEYS):
-            p, q = key[:4], key[4:]
-            ranges = [range(min(p[j], q[j]) + 1) for j in range(4)]
-            for kk in itertools.product(*ranges):
-                coeff = 1.0
-                for j in range(4):
-                    if kk[j]:
-                        coeff *= (
-                            math.comb(p[j], kk[j])
-                            * math.comb(q[j], kk[j])
-                            * math.factorial(kk[j])
-                            * (+0.5) ** kk[j]
-                        )
-                tgt = tuple(p[j] - kk[j] for j in range(4)) + tuple(
-                    q[j] - kk[j] for j in range(4)
-                )
-                inv[i, BASIS_INDEX[tgt]] += coeff
-        assert np.allclose(inv @ CAHILL, np.eye(NBASIS), atol=1e-12)
+    def test_cahill_terms_structure(self):
+        # 190 off-diagonal terms in 174 rows, at most 3 per row, each
+        # pointing to a lower-order column, and together the dense map
+        rows, ranks = wigner._CAHILL_ROWS, wigner._CAHILL_TERMS
+        assert len(rows) == 174 and len(ranks) <= 3
+        assert sum(len(pos) for pos, _, _ in ranks) == 190
+        dense = np.eye(NBASIS)
+        last = np.full(len(rows), -1)
+        for pos, cols, coeffs in ranks:
+            assert len(set(pos)) == len(pos)
+            assert (cols > last[pos]).all()  # ascending within a row
+            last[pos] = cols
+            dense[rows[pos], cols] = coeffs[:, 0]
+        assert (last >= 0).all()  # every listed row carries a term
+        assert (last < rows).all()  # strictly lower-triangular
+        assert np.array_equal(dense, ordering_matrix())
+
+    @pytest.mark.parametrize("n_tau, n_chunks", [(1, 2), (7, 11)])
+    def test_conversion_same_bytes_as_reference_loop(self, n_tau, n_chunks):
+        rng = np.random.default_rng(n_tau)
+        for scale in (1e-2, 1.0, 1e9):
+            shape = (n_tau, n_chunks, NBASIS)
+            sums = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            want = cahill_reference(weyl_table(sums, 20))
+            assert moment_source(sums, 20).tobytes() == want.tobytes()
+
+    def test_conversion_matches_dense_product(self):
+        # a BLAS product's bits depend on the build: compare to rounding
+        rng = np.random.default_rng(3)
+        shape = (5, 4, NBASIS)
+        sums = 50.0 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        weyl = weyl_table(sums, 20)
+        want = weyl @ ordering_matrix().T
+        got = moment_source(sums, 20)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     def test_monomial_columns_explicit(self):
         rng = np.random.default_rng(4)
@@ -666,15 +725,12 @@ class TestMomentConversion:
         assert monomial_columns(z).tobytes() == monomial_columns_per_column(z).tobytes()
 
     @pytest.mark.parametrize("n_chunks", [2, 11])
-    def test_blocks_same_bytes_as_per_tau(self, n_chunks):
-        block = wigner.CAHILL_BLOCK_BYTES // (2 * (1 + n_chunks) * NBASIS * 8)
-        assert block >= 2
+    def test_per_tau_same_bytes_as_whole_table(self, n_chunks):
         rng = np.random.default_rng(n_chunks)
-        for n_tau in (1, block, block + 1):
-            shape = (n_tau, n_chunks, NBASIS)
-            sums = 50.0 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-            want = moment_source_per_tau(sums, 20)
-            assert moment_source(sums, 20).tobytes() == want.tobytes()
+        shape = (13, n_chunks, NBASIS)
+        sums = 50.0 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        per_tau = np.concatenate([moment_source(s[None], 20) for s in sums])
+        assert moment_source(sums, 20).tobytes() == per_tau.tobytes()
 
     def test_vacuum_ensemble(self):
         params = SimConfig(n_traj=20_000, seed=17, chunk_size=5000)
@@ -727,7 +783,7 @@ class TestMomentConversion:
             ):
                 got = table[i, 0, BASIS_INDEX[key]]
                 want = exact[i, 0, BASIS_INDEX[key]]
-                se = float((CAHILL @ stderr)[BASIS_INDEX[key]])
+                se = float((ordering_matrix() @ stderr)[BASIS_INDEX[key]])
                 tol = 5 * max(abs(se), 1e-3 * abs(want) + 1e-3)
                 assert abs(got - want) < tol, (key, taus[i], got, want, tol)
 
