@@ -63,18 +63,16 @@ def _site_moments(table, sites, ops):
     Returns <S> = e^{iΔθ}<m2† m1> per site, (n_tau, n_ens, n_sites); Δθ,
     (n_tau,); and the means, (n_tau, n_ens, n_ops), and symmetrised
     covariance matrices, (n_tau, n_ens, n_ops, n_ops), of `ops` at that
-    phase.  Each product is built once: BA = (AB)† for Hermitian A and B,
-    exactly, since every coefficient is a dyadic rational.  The polynomials
-    are compiled once per call at unit phase factor.
+    phase.  Each pair's product AB is built once, and the real part of
+    its expectation is the symmetrised one: BA = (AB)† for Hermitian A
+    and B, so Re<AB> = <(AB + BA)/2>.  The polynomials are compiled once
+    per call at unit phase factor.
     """
     w = CompiledPolys([raising_bilinear(site) for site in sites]).expectations(table)
     pf = phase_factor_from(w[:, 0, 0])
     n = len(ops)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    products = []
-    for i, j in pairs:
-        ab = ops[i] * ops[j]
-        products.append(ab if i == j else 0.5 * (ab + ab.dagger()))
+    products = [ops[i] * ops[j] for i, j in pairs]
     e = CompiledPolys(list(ops) + products).expectations(table, pf).real
     means = e[..., :n]
     cov = np.empty(e.shape[:2] + (n, n))

@@ -6,8 +6,9 @@ integrated through
 
     dz = a dτ + B dZ,      a = -i a_drift - a_loss,
 
-with the drift and diffusion of the dimensionless master equation.  The
-complex Wiener increments satisfy <dZ* dZ> = dτ, <dZ dZ> = 0.  Raw path
+with the drift and diffusion of the dimensionless master equation, by
+the explicit two-evaluation midpoint rule (`step`).  The complex Wiener
+increments satisfy <dZ* dZ> = dτ, <dZ dZ> = 0.  Raw path
 averages estimate symmetric-ordered moments; `moment_source` converts
 them to normal order per mode via the s-ordering expansion
 
@@ -282,9 +283,6 @@ def _noise_term(
     return flat.T
 
 
-MIDPOINT_ITERATIONS = 3
-
-
 def step(
     state: np.ndarray,
     couplings: PhysicalCouplings,
@@ -297,27 +295,31 @@ def step(
 
     `noise` carries the complex Wiener increments (independent real and
     imaginary parts of variance dτ/2 each); None is allowed for lossless
-    dynamics.  The midpoint step treats the flow semi-implicitly with a
-    fixed number of fixed-point iterations; B is analytic in z and
+    dynamics.  The explicit midpoint rule evaluates the increment
+    dz(x) = a(x) dτ + B(x) dZ twice with the same dZ:
+
+        mid = z + dz(z) / 2,      z' = z + dz(mid),
+
+    second order in dτ for the drift.  B is analytic in z and
     <dZ dZ> = 0, so the Itô and Stratonovich readings of the equation
-    coincide.
+    coincide.  Each result is built in place on its fresh drift array.
     """
-    mid = state
-    for _ in range(MIDPOINT_ITERATIONS):
-        # mid = state + dz(mid) / 2, built in place on the fresh drift array
-        dz = drift(mid, couplings, losses, linear_loss_mode)
-        if noise is not None and losses.enabled:
-            dz *= dtau
-            dz += _noise_term(mid, losses, noise, linear_loss_mode)
-            dz *= 0.5
-        else:
-            # (dz dtau) / 2 == dz (dtau / 2) exactly: halving is exact
-            dz *= 0.5 * dtau
-        dz += state
-        mid = dz
-    mid *= 2.0
-    mid -= state
-    return mid
+    noisy = noise is not None and losses.enabled
+    mid = drift(state, couplings, losses, linear_loss_mode)
+    if noisy:
+        mid *= dtau
+        mid += _noise_term(state, losses, noise, linear_loss_mode)
+        mid *= 0.5
+    else:
+        # (a dτ) / 2 == a (dτ / 2) exactly: halving is exact
+        mid *= 0.5 * dtau
+    mid += state
+    out = drift(mid, couplings, losses, linear_loss_mode)
+    out *= dtau
+    if noisy:
+        out += _noise_term(mid, losses, noise, linear_loss_mode)
+    out += state
+    return out
 
 
 def sample_initial(initial: InitialState, rng: np.random.Generator, n: int) -> np.ndarray:

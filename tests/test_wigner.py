@@ -106,10 +106,11 @@ def drift_v026(z, couplings, losses, linear_loss_mode="symmetric"):
 
 
 def step_v026(state, couplings, losses, dtau, noise=None, linear_loss_mode="symmetric"):
-    """`step` of v0.2.6 on `drift_v026`, scaling by dtau and by 1/2 in
-    turn: the byte reference for `step`."""
+    """`step` of v0.2.6 on `drift_v026`: the semi-implicit midpoint with 3
+    fixed-point iterations (3 drift evaluations per step), the reference
+    integrator that `step`'s accuracy and statistics are judged against."""
     mid = state
-    for _ in range(wigner.MIDPOINT_ITERATIONS):
+    for _ in range(3):
         dz = drift_v026(mid, couplings, losses, linear_loss_mode)
         dz *= dtau
         if noise is not None and losses.enabled:
@@ -120,6 +121,21 @@ def step_v026(state, couplings, losses, dtau, noise=None, linear_loss_mode="symm
     mid *= 2.0
     mid -= state
     return mid
+
+
+def step_two_evaluation(state, couplings, losses, dtau, noise=None, linear_loss_mode="symmetric"):
+    """The explicit midpoint rule written out on `drift_v026`, each
+    increment dz(x) = a(x) dτ + B(x) dZ formed out of place: the byte
+    reference for `step`."""
+
+    def dz(x):
+        inc = drift_v026(x, couplings, losses, linear_loss_mode) * dtau
+        if noise is not None and losses.enabled:
+            inc = inc + _noise_term(x, losses, noise, linear_loss_mode)
+        return inc
+
+    mid = state + 0.5 * dz(state)
+    return state + dz(mid)
 
 
 def monomial_columns_per_column(z):
@@ -339,7 +355,8 @@ class TestVectorisedAgainstReference:
 
 
 class TestSameBytesAsV026:
-    """`drift` and `step` keep the bits of their v0.2.6 formulation."""
+    """`drift` keeps the bits of its v0.2.6 formulation, and `step` those of
+    the two-evaluation rule written out on it."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("kappa", [0.0, 0.7])
@@ -368,7 +385,7 @@ class TestSameBytesAsV026:
             if losses.enabled:
                 noise = 0.02 * (rng.normal(size=(37, ncols)) + 1j * rng.normal(size=(37, ncols)))
             z = step(z, coup, losses, 1e-3, noise, mode)
-            want = step_v026(want, coup, losses, 1e-3, noise, mode)
+            want = step_two_evaluation(want, coup, losses, 1e-3, noise, mode)
         assert z.tobytes() == want.tobytes()
 
 
@@ -445,6 +462,28 @@ class TestStep:
         for species in (slice(0, 2), slice(2, 4)):
             change = n[:, species].sum(axis=1) - n0[:, species].sum(axis=1)
             assert np.abs(change).max() < 1e-6 * INIT.N_A
+
+    def test_accuracy_at_fixed_cost(self):
+        # lossless, so the error is the integrator's alone: the largest
+        # amplitude error at T = 1 against the same ensemble at a fine step
+        coup = preset_couplings("B9p116G", 200.0, kappa=1.0)
+        z0 = np.asfortranarray(sample_initial(INIT, _chunk_rng(5, 0), 500))
+
+        def final(stepper, n_steps):
+            z = z0
+            for _ in range(n_steps):
+                z = stepper(z, coup, LOSSLESS, 1.0 / n_steps)
+            return z
+
+        ref = final(step, 8000)
+        new_1500, new_1000, old_1000 = (
+            np.abs(final(stepper, n) - ref).max()
+            for stepper, n in ((step, 1500), (step, 1000), (step_v026, 1000))
+        )
+        # 3000 drift evaluations each: 2 per step at h = 2/3e-3, 3 at 1e-3
+        assert new_1500 < old_1000
+        # the same step size
+        assert new_1000 < 1.6 * old_1000
 
 
 class TestEnsemble:
@@ -820,6 +859,27 @@ class TestPhysics:
         # integrator error and must sit far below the Monte-Carlo error
         diff = abs(arr[0] - eb.E_product[0, 0])
         assert diff < 0.3 * se
+
+    def test_lossy_criteria_agree_with_three_iteration_step(self, monkeypatch):
+        # common random numbers: both integrators step the same initial
+        # ensemble with the same noise, so their criteria differ by
+        # integrator error alone, far below the sampling error
+        losses = LossRates(gamma1=0.01, gamma12=0.01, gamma22=0.01)
+        params = SimConfig(dtau=1e-3, n_traj=1000, seed=67, chunk_size=125)
+        taus = (0.0, 1.0, 2.0)
+        new = evaluate_criteria(
+            moment_source(run_ensemble(COUP, losses, INIT, taus, params), params.chunk_size)
+        )
+        monkeypatch.setattr(wigner, "step", step_v026)
+        old = evaluate_criteria(
+            moment_source(run_ensemble(COUP, losses, INIT, taus, params), params.chunk_size),
+            theta=new.theta_opt,
+        )
+        for field in ("E_product", "S_minus", "S_plus", "E_EPR_product", "duan_sum"):
+            arr = getattr(new, field)[1:]
+            se = arr[:, 1:].std(ddof=1, axis=1) / math.sqrt(arr.shape[1] - 1)
+            dev = np.abs(arr[:, 0] - getattr(old, field)[1:, 0])
+            assert np.all(dev < 0.01 * se), (field, dev / se)
 
     def test_wigner_matches_exact_criteria(self):
         taus = tuple(np.linspace(0.0, 3.0, 4))
