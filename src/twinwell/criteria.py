@@ -2,7 +2,8 @@
 EPR-steering criteria with optimized measurement angle and gains.
 
 A whole sweep is evaluated at once, from a normal-ordered moment table
-of shape (n_tau, n_ens, NBASIS): ensemble row 0 is the merged ensemble,
+of shape (n_tau, n_ens, NBASIS), over the 117 number-conserving
+monomials of order <= 4: ensemble row 0 is the merged ensemble,
 the rows after it are trajectory chunks.  The frame and the symmetrised
 covariances of the sum and difference spins come from the same routine
 as the single-site spin moments (`spins._site_moments`), so every mean

@@ -19,24 +19,25 @@ a_i f(N_j) = f(N_j + δ_ij) a_i leaves
              + g12 (p1 p2 - q1 q2) ],
 
 with λ_i = |α_i|².  Wells never couple under this Hamiltonian, so
-cross-site monomials factorize: `moment_table` tabulates the whole
-monomial basis for a grid of times from the closed form, and
-`fock_moment_table` from an independent truncated Fock-basis oracle
-that cross-checks it.  Both evaluate every well part of the basis once
-per distinct coherent amplitude, over all times at once (one
-`site_moment` call when the wells share α), and form each basis column
-as its well-A part times its well-B part.
+cross-site monomials factorize: `moment_table` tabulates the moment
+basis (or any list of monomial keys) for a grid of times from the closed
+form, and `fock_moment_table` from an independent truncated Fock-basis
+oracle that cross-checks it.  Both evaluate every well part of the keys
+once per distinct coherent amplitude, over all times at once (one
+`site_moment` call when the wells share α), and form each column as its
+well-A part times its well-B part.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
 from .errors import TruncationError
-from .operators import BASIS_KEYS, NBASIS
+from .operators import BASIS_KEYS
 
 
 def _abs2(x) -> float:
@@ -108,53 +109,54 @@ def _site_parts(key):
     return (key[0], key[1], key[4], key[5]), (key[2], key[3], key[6], key[7])
 
 
-def _part_index():
-    """The distinct non-trivial well parts of the basis as a (4, n_parts)
-    exponent array, and for each basis key the columns of its well-A and
-    well-B part in a part table whose column 0 is the trivial part (1)."""
-    key_parts = [_site_parts(key) for key in BASIS_KEYS]
+@functools.lru_cache(maxsize=4)
+def _part_index(keys):
+    """The distinct non-trivial well parts of `keys` as a (4, n_parts)
+    exponent array, and for each key the columns of its well-A and well-B
+    part in a part table whose column 0 is the trivial part (1), all
+    read-only.  Built on first use: the basis has 35 parts, the full key
+    list 69."""
+    key_parts = [_site_parts(key) for key in keys]
     parts = sorted({p for pair in key_parts for p in pair} - {(0, 0, 0, 0)})
     column = {p: j for j, p in enumerate([(0, 0, 0, 0)] + parts)}
-    a_col = np.array([column[a] for a, _ in key_parts])
-    b_col = np.array([column[b] for _, b in key_parts])
-    return np.array(parts).T, a_col, b_col
+    index = (
+        np.array(parts).T,
+        np.array([column[a] for a, _ in key_parts]),
+        np.array([column[b] for _, b in key_parts]),
+    )
+    for a in index:
+        a.flags.writeable = False
+    return index
 
 
-_PARTS, _A_COL, _B_COL = _part_index()
-# basis columns filled per multiply, bounding the gathered temporaries
-_BLOCK = 64
-
-
-def _tabulate(initial, n_tau: int, site) -> np.ndarray:
-    """Normal-ordered moments over the basis: (n_tau, 1, NBASIS).
+def _tabulate(initial, n_tau: int, site, keys) -> np.ndarray:
+    """Normal-ordered moments of `keys`: (n_tau, 1, len(keys)).
 
     `site(parts, alpha)` gives the (n_tau, n_parts) moments of the well
     parts `parts`, a (4, n_parts) array of exponents (p1, p2, q1, q2), for
     the coherent amplitude `alpha`.  It is called once per distinct
-    amplitude, for every part of the basis at once.  Wells evolve
+    amplitude, for every part of `keys` at once.  Wells evolve
     independently, so each monomial is its well-A part times its well-B
-    part, gathered through `_A_COL` and `_B_COL`.  The single ensemble row
-    keeps the layout of the stochastic engine's table.
+    part, gathered through the `_part_index` columns.  The single ensemble
+    row keeps the layout of the stochastic engine's table.
     """
+    parts, a_col, b_col = _part_index(keys)
     tables = {}
     for alpha in (initial.alpha_a, initial.alpha_b):
         if alpha not in tables:
-            part_table = np.empty((n_tau, 1 + _PARTS.shape[1]), dtype=complex)
+            part_table = np.empty((n_tau, 1 + parts.shape[1]), dtype=complex)
             part_table[:, 0] = 1.0
-            part_table[:, 1:] = site(_PARTS, alpha)
+            part_table[:, 1:] = site(parts, alpha)
             tables[alpha] = part_table
     a_parts, b_parts = tables[initial.alpha_a], tables[initial.alpha_b]
-    table = np.empty((n_tau, 1, NBASIS), dtype=complex)
-    for start in range(0, NBASIS, _BLOCK):
-        cols = slice(start, start + _BLOCK)
-        np.multiply(a_parts[:, _A_COL[cols]], b_parts[:, _B_COL[cols]], out=table[:, 0, cols])
-    return table
+    return np.multiply(a_parts[:, a_col], b_parts[:, b_col])[:, None]
 
 
-def moment_table(couplings, initial, taus) -> np.ndarray:
-    """Exact moments over the basis for a grid of times, (n_tau, 1, NBASIS):
-    one `site_moment` call per distinct amplitude, vectorised over the
-    times and the well parts.
+def moment_table(couplings, initial, taus, keys=BASIS_KEYS) -> np.ndarray:
+    """Exact moments of `keys` (default the basis) for a grid of times,
+    (n_tau, 1, len(keys)): one `site_moment` call per distinct amplitude,
+    vectorised over the times and the well parts.  The oracle checks pass
+    `FULL_KEYS`, every monomial of order <= 4.
 
     `site_moment` is looked up when called, so a wrapper installed on the
     module attribute sees every evaluation.
@@ -165,6 +167,7 @@ def moment_table(couplings, initial, taus) -> np.ndarray:
         initial,
         taus.size,
         lambda parts, alpha: site_moment(*parts, alpha, alpha, c.g11, c.g12, c.g22, taus),
+        keys,
     )
 
 
@@ -230,7 +233,9 @@ def _fock_sum(state, p1: int, p2: int, q1: int, q2: int) -> np.ndarray:
     return (bra * ket * f1[:, None] * f2[None, :]).reshape(len(psi), -1).sum(axis=1)
 
 
-def fock_moment_table(couplings, initial, taus, cutoff: int | None = None) -> np.ndarray:
+def fock_moment_table(
+    couplings, initial, taus, cutoff: int | None = None, keys=BASIS_KEYS
+) -> np.ndarray:
     """Oracle counterpart of `moment_table`: the Fock state is built once
     per coherent amplitude for all times, and each well part summed on it."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
@@ -240,4 +245,4 @@ def fock_moment_table(couplings, initial, taus, cutoff: int | None = None) -> np
         state = _fock_state(alpha, alpha, c.g11, c.g12, c.g22, taus, cutoff)
         return np.stack([_fock_sum(state, *p) for p in parts.T.tolist()], axis=1)
 
-    return _tabulate(initial, taus.size, site)
+    return _tabulate(initial, taus.size, site, keys)

@@ -17,9 +17,13 @@ coefficients like 1/2 stay exact floats; this keeps shot-noise baselines
 clean to ~1e-13 even at N = 2000.
 
 Both moment engines tabulate expectations over one fixed basis: every
-monomial of total order <= 4 (`BASIS_KEYS`, 495 of them).
-`CompiledPolys` turns polynomials into weights over that basis, so their
-expectations become one contraction with a moment table.
+number-conserving monomial of total order <= 4 (`BASIS_KEYS`, 117 of the
+495 monomials of order <= 4 in `FULL_KEYS`, in the same relative order).
+The criteria read variances of sums of spin operators, products of
+bilinears m† n, so every monomial they need has as many creation as
+annihilation operators.  `CompiledPolys` turns polynomials into weights
+over that basis, so their expectations become one contraction with a
+moment table.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-BASIS_KEYS = tuple(
+FULL_KEYS = tuple(
     key for order in range(MAX_ORDER + 1) for key in sorted(_compositions(order, 2 * N_MODES))
 )
+BASIS_KEYS = tuple(key for key in FULL_KEYS if sum(key[:4]) == sum(key[4:]))
 BASIS_INDEX = {k: i for i, k in enumerate(BASIS_KEYS)}
 NBASIS = len(BASIS_KEYS)
 
@@ -231,7 +236,11 @@ class CompiledPolys:
         cols: dict = {}  # charge -> basis columns
         for key in {k for p in polys for k in p.terms}:
             if key not in BASIS_INDEX:
-                raise ValueError(f"monomial order {sum(key)} exceeds the basis order {MAX_ORDER}")
+                raise ValueError(
+                    f"monomial {key} is not in the moment basis: it must have order <= "
+                    f"{MAX_ORDER} and be number-conserving (as many creation as "
+                    "annihilation operators)"
+                )
             cols.setdefault(component2_charge(key), []).append(BASIS_INDEX[key])
         self.groups = []
         slot = {}  # basis column -> (group weights, position in the group)

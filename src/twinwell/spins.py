@@ -1,8 +1,10 @@
 """Schwinger-spin moments, optimal quadrature angle and squeezing for one site.
 
 Moments are read from a normal-ordered moment table of shape
-(n_tau, n_ens, NBASIS): ensemble row 0 is the merged ensemble (the only
-row of the exact engine), the rows after it are trajectory chunks.
+(n_tau, n_ens, NBASIS), over the 117 number-conserving monomials of
+order <= 4 (`operators.BASIS_KEYS`): ensemble row 0 is the merged
+ensemble (the only row of the exact engine), the rows after it are
+trajectory chunks.
 
 The mode-phase convention Δθ = π/2 − arg<a2† a1> makes <J^X> = 0 and
 <J^Y> = |<a2† a1>| ≥ 0 at every time; the squeezing reference is then

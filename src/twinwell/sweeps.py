@@ -28,6 +28,7 @@ from .config import RunConfig, config_hash
 from .criteria import evaluate_criteria
 from .errors import ConfigError
 from .kerr import fock_moment_table, moment_table
+from .operators import FULL_KEYS
 from .spins import optimal_angle, spin_moments, squeezing
 from .wigner import moment_source, run_ensemble
 
@@ -66,7 +67,8 @@ def _se(x: np.ndarray) -> list:
 
 
 def criteria_row(table, sweep, beam_splitter: bool = True) -> list[SweepRow]:
-    """One row per tau of `sweep` from its (n_tau, n_ens, NBASIS) moment table."""
+    """One row per tau of `sweep` from its (n_tau, n_ens, NBASIS) moment
+    table over the 117 number-conserving basis monomials."""
     m = spin_moments(table)
     s_local = squeezing(m, optimal_angle(m)[:, :1])
     r = evaluate_criteria(
@@ -182,8 +184,8 @@ VALIDATE_CHUNKS = 8
 
 
 def validation_report(cfg: RunConfig, n_traj: int | None = None):
-    """Oracle suites: closed form vs Fock basis over the whole moment
-    table, stochastic vs exact.
+    """Oracle suites: closed form vs Fock basis over every monomial of
+    order <= 4 (`FULL_KEYS`), stochastic vs exact.
 
     Returns (lines, ok).  Kept deliberately small so it runs in seconds
     at default settings.
@@ -196,8 +198,8 @@ def validation_report(cfg: RunConfig, n_traj: int | None = None):
     ratios = preset_couplings("B9p116G", 1.0)
     small = InitialState(N_A=8.0, N_B=8.0)
     taus = np.random.default_rng(2024).uniform(0.01, 0.2, 5)
-    exact = moment_table(ratios, small, taus)
-    fock = fock_moment_table(ratios, small, taus, cutoff=40)
+    exact = moment_table(ratios, small, taus, FULL_KEYS)
+    fock = fock_moment_table(ratios, small, taus, cutoff=40, keys=FULL_KEYS)
     worst = float(np.max(np.abs(exact - fock) / (np.abs(fock) + 1e-12)))
     passed = worst < 1e-8
     ok &= passed

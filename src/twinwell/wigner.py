@@ -27,11 +27,13 @@ species 2 = (α2, β2).  `drift` and `_noise_term` act on that view as a
 whole: tunneling swaps the well axis, the Kerr and two-body loss rates
 combine the species axis.  The per-chunk monomial tables are
 column-major too, so every product and per-column sum is contiguous;
-they are built in 32 runs of columns, one product per run
-(`monomial_columns`).  `moment_source` applies the expansion as its
-190 off-diagonal terms (`_CAHILL_TERMS`), in at most 3 gather-multiply-
-add passes over the whole table and with no BLAS call, so each moment's
-bytes do not depend on the rows beside it or on a BLAS build.
+they hold the 117 basis columns and the 54 lower-order ones those are
+built from, in 20 runs of columns, one product per run
+(`monomial_columns`).  The expansion keeps p - q per mode, so it maps
+the number-conserving basis to itself: `moment_source` applies it as
+its 78 off-diagonal terms (`_CAHILL_TERMS`), in at most 3 gather-
+multiply-add passes over the whole table and with no BLAS call, so each
+moment's bytes do not depend on the rows beside it or on a BLAS build.
 The noise increments stay in the Philox stream's order (trajectory,
 column, re/im) and are read as complex.
 
@@ -66,33 +68,55 @@ import numpy as np
 
 from .config import InitialState, LossRates, PhysicalCouplings, SimConfig
 from .errors import ConfigError, DivergenceError
-from .operators import BASIS_INDEX, BASIS_KEYS, NBASIS
+from .operators import BASIS_INDEX, BASIS_KEYS, FULL_KEYS, NBASIS
 
 # z-vector columns are (a1, b1, a2, b2); monomial mode order is (a1, a2, b1, b2)
 MODE_TO_ZCOL = (0, 2, 1, 3)
 
 
+def _parent(key):
+    """(parent, variable): `key` is its parent times variable `variable` of
+    the 8-variable table, the first one it holds."""
+    var = next(pos for pos, e in enumerate(key) if e)
+    parent = list(key)
+    parent[var] -= 1
+    return tuple(parent), var
+
+
 def _build_runs():
-    """(first column, first parent, variable, length) of each run of
-    non-constant basis monomials: column c + i is column p + i times
-    variable v of the 8-variable table, for i < length, and every parent
-    lies before the run's first column.  The 494 columns make 32 runs."""
+    """The columns `monomial_columns` builds, and how.
+
+    Each non-constant column is its parent times one variable
+    (`_parent`).  The basis needs its own 117 columns and the 54 on its
+    parents' chains that are not in it (4 of order 1, 10 of order 2, 40
+    of order 3), laid out basis first, so the basis is the table's first
+    NBASIS columns.  Returns the 171 keys and the (first column, first
+    parent, variable, length) of each run: column c + i is column p + i
+    times variable v, for i < length.  Runs go by order, so every parent
+    is built by an earlier run; the 170 columns make 20 runs."""
+    chains = set()
+    for key in BASIS_KEYS:
+        while any(key):
+            chains.add(key)
+            key = _parent(key)[0]
+    keys = BASIS_KEYS + tuple(k for k in FULL_KEYS if k in chains and k not in BASIS_INDEX)
+    column = {k: i for i, k in enumerate(keys)}
     runs = []
-    for col, k in enumerate(BASIS_KEYS[1:], start=1):
-        var = next(pos for pos, e in enumerate(k) if e)
-        parent = list(k)
-        parent[var] -= 1
-        parent = BASIS_INDEX[tuple(parent)]
+    for key in sorted(keys[1:], key=lambda k: (sum(k), column[k])):
+        col = column[key]
+        parent, var = _parent(key)
+        parent = column[parent]
         if runs:
             c, p, v, n = runs[-1]
-            if (parent, var) == (p + n, v) and parent < c:
+            # one product per run: its parents must not overlap its columns
+            if (col, parent, var) == (c + n, p + n, v) and (parent < c or p > col):
                 runs[-1] = (c, p, v, n + 1)
                 continue
         runs.append((col, parent, var, 1))
-    return tuple(runs)
+    return keys, tuple(runs)
 
 
-_BUILD_RUNS = _build_runs()
+_BUILD_KEYS, _BUILD_RUNS = _build_runs()
 
 
 def _cahill_terms():
@@ -102,7 +126,7 @@ def _cahill_terms():
     symmetric moment i plus at most 3 terms, each a coefficient times a
     lower-order symmetric moment.  Returns the rows that carry terms and,
     for each rank r, (positions in those rows, columns, coefficients) of
-    every row's r-th term in ascending column order: 190 terms in 174
+    every row's r-th term in ascending column order: 78 terms in 62
     rows.
     """
     rows, ranked = [], ([], [], [])
@@ -144,10 +168,11 @@ def monomial_columns(z: np.ndarray) -> np.ndarray:
 
     Built in column-major order, one product per run of columns
     (`_BUILD_RUNS`), so every product and the per-column sums run over
-    contiguous memory.
+    contiguous memory.  The result is the basis slice of the built
+    table, itself contiguous.
     """
     n = z.shape[0]
-    out = np.empty((n, NBASIS), dtype=complex, order="F")
+    out = np.empty((n, len(_BUILD_KEYS)), dtype=complex, order="F")
     var8 = np.empty((n, 8), dtype=complex, order="F")
     for m, col in enumerate(MODE_TO_ZCOL):
         var8[:, m] = np.conj(z[:, col])
@@ -155,7 +180,7 @@ def monomial_columns(z: np.ndarray) -> np.ndarray:
     out[:, 0] = 1.0
     for c, p, v, k in _BUILD_RUNS:
         np.multiply(out[:, p : p + k], var8[:, v, None], out=out[:, c : c + k])
-    return out
+    return out[:, :NBASIS]
 
 
 def moment_source(sums: np.ndarray, chunk_size: int) -> np.ndarray:
@@ -435,7 +460,8 @@ def run_ensemble(
 
     def record(i_tau: int) -> None:
         # A fresh table per chunk, not one reused buffer: freeing this
-        # multi-MB block raises glibc's heap-trim threshold, so the
+        # block (1.4 MB at 500 trajectories, past glibc's 128 KiB mmap
+        # threshold) raises glibc's heap-trim threshold, so the
         # stepping's temporaries stay mapped instead of being returned to
         # the OS and faulted in again after every step.
         for c in range(n_chunks):

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,10 @@ from twinwell import kerr
 from twinwell.config import InitialState, PhysicalCouplings, preset_couplings
 from twinwell.errors import TruncationError
 from twinwell.kerr import fock_moment_table, moment_table, site_moment
-from twinwell.operators import BASIS_INDEX, key_dagger
+from twinwell.operators import BASIS_INDEX, BASIS_KEYS, FULL_KEYS, key_dagger
 
+# the oracle checks tabulate every monomial of order <= 4, not only the basis
+FULL_INDEX = {k: i for i, k in enumerate(FULL_KEYS)}
 RATIOS = preset_couplings("B9p116G", 1.0)  # g11 = 1, ratio-scaled couplings
 A1 = (0, 0, 0, 0, 1, 0, 0, 0)  # a1
 A2 = (0, 0, 0, 0, 0, 1, 0, 0)  # a2
@@ -107,12 +113,12 @@ class TestTwoModeFirstMoment:
         alpha = 4.0  # |alpha|^2 = 16, per mode 8
         init = InitialState(N_A=16.0, N_B=16.0)
         tau = 0.05
-        general = moment_table(RATIOS, init, [tau])[0, 0]
-        oracle = fock_moment_table(RATIOS, init, [tau], cutoff=50)[0, 0]
+        general = moment_table(RATIOS, init, [tau], FULL_KEYS)[0, 0]
+        oracle = fock_moment_table(RATIOS, init, [tau], cutoff=50, keys=FULL_KEYS)[0, 0]
         for i, key in ((1, A1), (2, A2)):
             quoted = two_mode_first_moment(alpha, RATIOS, i, tau)
-            assert abs(quoted - general[BASIS_INDEX[key]]) < 1e-12
-            assert abs(quoted - oracle[BASIS_INDEX[key]]) < 1e-8
+            assert abs(quoted - general[FULL_INDEX[key]]) < 1e-12
+            assert abs(quoted - oracle[FULL_INDEX[key]]) < 1e-8
 
     def test_bad_mode_index(self):
         with pytest.raises(ValueError):
@@ -136,11 +142,13 @@ class TestKerrMoment:
         init = InitialState(N_A=16.0, N_B=16.0)  # |alpha|^2 = 8 per mode
         rng = np.random.default_rng(42)
         taus = rng.uniform(0.0, 0.2, 3)
-        table = moment_table(RATIOS, init, taus)
-        assert max_rel_error(table, fock_moment_table(RATIOS, init, taus, cutoff=50)) < 1e-8
+        table = moment_table(RATIOS, init, taus, FULL_KEYS)
+        oracle = fock_moment_table(RATIOS, init, taus, cutoff=50, keys=FULL_KEYS)
+        assert max_rel_error(table, oracle) < 1e-8
 
     def test_oracle_equivalence_random_couplings(self):
-        # random (tau, coupling) draws, the whole basis against the oracle
+        # random (tau, coupling) draws, every monomial of order <= 4 against
+        # the oracle
         init = InitialState(N_A=12.0, N_B=12.0)
         rng = np.random.default_rng(100)
         for _ in range(20):
@@ -150,20 +158,21 @@ class TestKerrMoment:
                 g22=float(rng.uniform(0.0, 2.0)),
             )
             tau = [float(rng.uniform(0.0, 0.3))]
-            table = moment_table(coup, init, tau)
-            assert max_rel_error(table, fock_moment_table(coup, init, tau, cutoff=45)) < 1e-8
+            table = moment_table(coup, init, tau, FULL_KEYS)
+            oracle = fock_moment_table(coup, init, tau, cutoff=45, keys=FULL_KEYS)
+            assert max_rel_error(table, oracle) < 1e-8
 
     def test_conjugation_symmetry(self):
         init = InitialState(N_A=8.0, N_B=8.0)
         rng = np.random.default_rng(3)
-        table = moment_table(RATIOS, init, rng.uniform(0.0, 1.0, 8))
-        for key, i in BASIS_INDEX.items():
-            assert np.array_equal(table[:, 0, i], table[:, 0, BASIS_INDEX[key_dagger(key)]].conj())
+        table = moment_table(RATIOS, init, rng.uniform(0.0, 1.0, 8), FULL_KEYS)
+        for key, i in FULL_INDEX.items():
+            assert np.array_equal(table[:, 0, i], table[:, 0, FULL_INDEX[key_dagger(key)]].conj())
 
     def test_number_conserving_monomials_are_static(self):
         init = InitialState(N_A=8.0, N_B=8.0)
-        v0, v1 = moment_table(RATIOS, init, (0.0, 0.77))[:, 0]
-        for key, i in BASIS_INDEX.items():
+        v0, v1 = moment_table(RATIOS, init, (0.0, 0.77), FULL_KEYS)[:, 0]
+        for key, i in FULL_INDEX.items():
             if key[:4] == key[4:]:
                 assert abs(v0[i] - v1[i]) < 1e-10 * (abs(v0[i]) + 1.0), key
 
@@ -183,9 +192,9 @@ class TestKerrMoment:
         init = InitialState(N_A=8.0, N_B=18.0, phase=0.4)
         taus = (0.0, 0.13, 2.5)
         g = (RATIOS.g11, RATIOS.g12, RATIOS.g22)
-        table = moment_table(RATIOS, init, taus)
-        assert table.shape == (3, 1, len(BASIS_INDEX))
-        for key, i in BASIS_INDEX.items():
+        table = moment_table(RATIOS, init, taus, FULL_KEYS)
+        assert table.shape == (3, 1, len(FULL_KEYS))
+        for key, i in FULL_INDEX.items():
             a_part, b_part = key[0:2] + key[4:6], key[2:4] + key[6:8]
             for t, tau in enumerate(taus):
                 a_val, b_val = (
@@ -240,10 +249,49 @@ class TestBatchedParts:
         assert table.tobytes() == moment_table(RATIOS, init, (0.0, 0.13)).tobytes()
 
 
+class TestKeyLists:
+    # the basis and the full list of monomials of order <= 4 come from the
+    # same well-part tables, so the basis columns keep their bytes
+    BASIS_IN_FULL = [FULL_INDEX[key] for key in BASIS_KEYS]
+
+    @pytest.mark.parametrize("n_b, phase", [(8.0, 0.0), (18.0, 0.4)])
+    def test_basis_table_is_full_table_at_basis_columns(self, n_b, phase):
+        init = InitialState(N_A=8.0, N_B=n_b, phase=phase)
+        taus = np.linspace(0.0, 3.0, 7)
+        basis, full = (moment_table(RATIOS, init, taus, keys) for keys in (BASIS_KEYS, FULL_KEYS))
+        assert basis.shape == (7, 1, len(BASIS_KEYS))
+        assert basis.tobytes() == full[..., self.BASIS_IN_FULL].tobytes()
+        basis, full = (
+            fock_moment_table(RATIOS, init, taus[:3], cutoff=40, keys=keys)
+            for keys in (BASIS_KEYS, FULL_KEYS)
+        )
+        assert basis.tobytes() == full[..., self.BASIS_IN_FULL].tobytes()
+
+    def test_well_part_counts(self):
+        assert kerr._part_index(BASIS_KEYS)[0].shape == (4, 35)
+        assert kerr._part_index(FULL_KEYS)[0].shape == (4, 69)
+
+    def test_part_index_built_on_first_use(self):
+        # importing the package builds no part index: it costs start-up
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+        probe = (
+            "import twinwell.sweeps; from twinwell import kerr; "
+            "print(kerr._part_index.cache_info().currsize)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
+
 class TestFockOracle:
     def test_first_moment_at_zero_time(self):
         init = InitialState(N_A=8.0, N_B=8.0)
-        got = fock_moment_table(RATIOS, init, [0.0], cutoff=50)[0, 0, BASIS_INDEX[A1]]
+        got = fock_moment_table(RATIOS, init, [0.0], cutoff=50, keys=FULL_KEYS)
+        got = got[0, 0, FULL_INDEX[A1]]
         assert abs(got - init.alpha_a) < 1e-10
 
     def test_product_of_conserved_numbers(self):
@@ -255,7 +303,8 @@ class TestFockOracle:
     def test_revival(self):
         c = PhysicalCouplings(g11=1.0, g12=2.0, g22=3.0)
         init = InitialState(N_A=8.0, N_B=8.0)
-        got = fock_moment_table(c, init, [2.0 * math.pi], cutoff=60)[0, 0, BASIS_INDEX[A1]]
+        got = fock_moment_table(c, init, [2.0 * math.pi], cutoff=60, keys=FULL_KEYS)
+        got = got[0, 0, FULL_INDEX[A1]]
         assert abs(got - init.alpha_a) < 1e-8
 
     def test_truncation_error_carries_tail(self):

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from twinwell.criteria import _basis_ops
+from twinwell import spins
+from twinwell.criteria import _basis_ops, joint_moments
 from twinwell.operators import (
     BASIS_INDEX,
     BASIS_KEYS,
+    FULL_KEYS,
     MAX_ORDER,
     NBASIS,
     SITE_A,
     SITE_B,
     SITE_C,
     SITE_D,
+    CompiledPolys,
     ModeVector,
     NormalPoly,
     beam_splitter,
@@ -241,7 +244,34 @@ class TestMonomialKeys:
     def test_key_dagger_and_basis(self):
         key = (1, 2, 0, 0, 0, 1, 0, 0)  # a1† a2†² a2
         assert key_dagger(key) == (0, 1, 0, 0, 1, 2, 0, 0)
-        assert len(BASIS_KEYS) == NBASIS == 495
+        assert len(FULL_KEYS) == len(set(FULL_KEYS)) == 495
+        assert len(BASIS_KEYS) == NBASIS == 117
         for i, k in enumerate(BASIS_KEYS):
             assert BASIS_INDEX[k] == i and sum(k) <= MAX_ORDER
             assert key_dagger(k) in BASIS_INDEX and key_dagger(key_dagger(k)) == k
+        # the number-conserving keys of the full list, in its order
+        assert BASIS_KEYS == tuple(k for k in FULL_KEYS if sum(k[:4]) == sum(k[4:]))
+
+    def test_pipeline_polynomials_close_on_the_basis(self, monkeypatch):
+        # every monomial that spins and criteria compile is in the basis,
+        # and together they read every basis column but the constant
+        seen = set()
+
+        class Recording(CompiledPolys):
+            def __init__(self, polys):
+                seen.update(k for p in polys for k in p.terms)
+                super().__init__(polys)
+
+        monkeypatch.setattr(spins, "CompiledPolys", Recording)
+        table = np.ones((2, 1, NBASIS), dtype=complex)
+        spins.spin_moments(table)
+        for beam_splitter in (False, True):
+            joint_moments(table, theta=0.0, beam_splitter=beam_splitter)
+        assert seen == set(BASIS_KEYS) - {(0,) * 8}
+
+    @pytest.mark.parametrize(
+        "key", [(0, 0, 0, 0, 1, 0, 0, 0), (2, 0, 0, 0, 0, 1, 0, 0)], ids=["a1", "a1+a1+a2"]
+    )
+    def test_compiling_outside_the_basis_names_both_rules(self, key):
+        with pytest.raises(ValueError, match=r"order <= 4.*number-conserving"):
+            CompiledPolys([NormalPoly({key: 1.0 + 0j})])

@@ -16,6 +16,7 @@ from twinwell import wigner
 from twinwell.criteria import evaluate_criteria
 from twinwell.errors import ConfigError, DivergenceError
 from twinwell.kerr import moment_table
+from twinwell.operators import FULL_KEYS
 from twinwell.wigner import (
     BASIS_INDEX,
     BASIS_KEYS,
@@ -138,32 +139,39 @@ def step_two_evaluation(state, couplings, losses, dtau, noise=None, linear_loss_
     return state + dz(mid)
 
 
+FULL_INDEX = {k: i for i, k in enumerate(FULL_KEYS)}
+BASIS_IN_FULL = [FULL_INDEX[key] for key in BASIS_KEYS]
+
+
 def monomial_columns_per_column(z):
-    """`monomial_columns` of v0.2.6, one product per column, each column
-    its parent times the first variable of its key: the byte reference
-    for the runs of columns."""
+    """`monomial_columns` of v0.2.6 over every monomial of order <= 4
+    (`FULL_KEYS`), one product per column, each column its parent times
+    the first variable of its key: the byte reference for the runs of
+    columns."""
     var8 = np.conj(z[:, list(wigner.MODE_TO_ZCOL)])
     var8 = np.concatenate([var8, z[:, list(wigner.MODE_TO_ZCOL)]], axis=1)
-    out = np.empty((z.shape[0], NBASIS), dtype=complex, order="F")
+    out = np.empty((z.shape[0], len(FULL_KEYS)), dtype=complex, order="F")
     out[:, 0] = 1.0
-    for col, key in enumerate(BASIS_KEYS[1:], start=1):
+    for col, key in enumerate(FULL_KEYS[1:], start=1):
         var = next(pos for pos, e in enumerate(key) if e)
         parent = list(key)
         parent[var] -= 1
-        np.multiply(out[:, BASIS_INDEX[tuple(parent)]], var8[:, var], out=out[:, col])
+        np.multiply(out[:, FULL_INDEX[tuple(parent)]], var8[:, var], out=out[:, col])
     return out
 
 
-@functools.lru_cache(maxsize=2)
-def ordering_matrix(half=-0.5):
-    """Dense (NBASIS, NBASIS) per-mode s-ordering expansion
+@functools.lru_cache(maxsize=4)
+def ordering_matrix(half=-0.5, keys=BASIS_KEYS):
+    """Dense per-mode s-ordering expansion over `keys`,
 
         a†^p a^q -> sum_k k! C(p,k) C(q,k) half^k {a†^(p-k) a^(q-k)},
 
     the Cahill map from symmetric to normal order at half = -1/2 and its
-    inverse at half = +1/2: the oracle for `moment_source`."""
-    m = np.zeros((NBASIS, NBASIS))
-    for i, key in enumerate(BASIS_KEYS):
+    inverse at half = +1/2: the oracle for `moment_source`.  Every term
+    must land in `keys` (a KeyError if one does not)."""
+    index = {k: i for i, k in enumerate(keys)}
+    m = np.zeros((len(keys), len(keys)))
+    for i, key in enumerate(keys):
         p, q = key[:4], key[4:]
         ranges = [range(min(p[j], q[j]) + 1) for j in range(4)]
         for kk in itertools.product(*ranges):
@@ -179,7 +187,7 @@ def ordering_matrix(half=-0.5):
             tgt = tuple(p[j] - kk[j] for j in range(4)) + tuple(
                 q[j] - kk[j] for j in range(4)
             )
-            m[i, BASIS_INDEX[tgt]] += coeff
+            m[i, index[tgt]] += coeff
     m.flags.writeable = False
     return m
 
@@ -705,11 +713,11 @@ class TestMomentConversion:
         )
 
     def test_cahill_terms_structure(self):
-        # 190 off-diagonal terms in 174 rows, at most 3 per row, each
+        # 78 off-diagonal terms in 62 rows, at most 3 per row, each
         # pointing to a lower-order column, and together the dense map
         rows, ranks = wigner._CAHILL_ROWS, wigner._CAHILL_TERMS
-        assert len(rows) == 174 and len(ranks) <= 3
-        assert sum(len(pos) for pos, _, _ in ranks) == 190
+        assert len(rows) == 62 and len(ranks) <= 3
+        assert sum(len(pos) for pos, _, _ in ranks) == 78
         dense = np.eye(NBASIS)
         last = np.full(len(rows), -1)
         for pos, cols, coeffs in ranks:
@@ -720,6 +728,15 @@ class TestMomentConversion:
         assert (last >= 0).all()  # every listed row carries a term
         assert (last < rows).all()  # strictly lower-triangular
         assert np.array_equal(dense, ordering_matrix())
+
+    def test_cahill_map_closes_on_the_basis(self):
+        # the map keeps p - q per mode: the full map's basis rows have
+        # every term in a basis column, and restricted to the basis they
+        # are the basis map (whose inverse the test above checks)
+        full = ordering_matrix(keys=FULL_KEYS)[BASIS_IN_FULL]
+        outside = np.setdiff1d(np.arange(len(FULL_KEYS)), BASIS_IN_FULL)
+        assert not full[:, outside].any()
+        assert np.array_equal(full[:, BASIS_IN_FULL], ordering_matrix())
 
     @pytest.mark.parametrize("n_tau, n_chunks", [(1, 2), (7, 11)])
     def test_conversion_same_bytes_as_reference_loop(self, n_tau, n_chunks):
@@ -750,18 +767,36 @@ class TestMomentConversion:
         assert np.allclose(cols[:, BASIS_INDEX[key]], want)
 
     def test_column_runs_cover_the_basis_once(self):
+        # the runs build the basis and the 54 keys on its parents' chains,
+        # laid out basis first, each column once; every run's columns are
+        # their parents times the run's variable
+        keys = wigner._BUILD_KEYS
+        assert len(keys) == 171 and keys[:NBASIS] == BASIS_KEYS
+        assert [sum(k) for k in keys[NBASIS:]] == [1] * 4 + [2] * 10 + [3] * 40
+        assert len(wigner._BUILD_RUNS) == 20
         built = {0}
         for c, p, v, k in wigner._BUILD_RUNS:
-            assert set(range(p, p + k)) <= built  # every parent precedes its run
+            assert set(range(p, p + k)) <= built  # every parent is built first
             cols = set(range(c, c + k))
             assert not cols & built
             built |= cols
-        assert built == set(range(NBASIS))
+            for i in range(k):
+                child = list(keys[p + i])
+                child[v] += 1
+                assert tuple(child) == keys[c + i] and not any(child[:v])
+        assert built == set(range(len(keys)))
 
     def test_column_runs_same_bytes_as_per_column(self):
+        # the columns, and the sums `run_ensemble` records, are those of
+        # the full table at the basis columns, whether or not the number
+        # of trajectories is a multiple of 8
         rng = np.random.default_rng(5)
-        z = np.asfortranarray(rng.normal(size=(301, 4)) + 1j * rng.normal(size=(301, 4)))
-        assert monomial_columns(z).tobytes() == monomial_columns_per_column(z).tobytes()
+        for n in (301, 500):
+            z = np.asfortranarray(rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)))
+            cols, full = monomial_columns(z), monomial_columns_per_column(z)
+            assert cols.shape == (n, NBASIS) and cols.flags.f_contiguous
+            assert cols.tobytes(order="F") == full[:, BASIS_IN_FULL].tobytes(order="F")
+            assert cols.sum(axis=0).tobytes() == full.sum(axis=0)[BASIS_IN_FULL].tobytes()
 
     @pytest.mark.parametrize("n_chunks", [2, 11])
     def test_per_tau_same_bytes_as_whole_table(self, n_chunks):
