@@ -140,7 +140,7 @@ def _tabulate(initial, n_tau: int, site, keys) -> np.ndarray:
     part, gathered through the `_part_index` columns.  The single ensemble
     row keeps the layout of the stochastic engine's table.
     """
-    parts, a_col, b_col = _part_index(keys)
+    parts, a_col, b_col = _part_index(tuple(keys))
     tables = {}
     for alpha in (initial.alpha_a, initial.alpha_b):
         if alpha not in tables:

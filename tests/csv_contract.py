@@ -1,14 +1,17 @@
 """Bit contract: the CLI's CSVs keep their bytes unless the version moves.
 
-    python tests/csv_contract.py BASE_DIR [--head-dir DIR]
+    python tests/csv_contract.py BASE_DIR
 
-runs a few short CLI commands with the package sources of two trees,
-BASE_DIR (say, a `git worktree` of the base commit) and HEAD_DIR (default:
-the tree this script lives in), on the same config files (HEAD_DIR's), and
-compares the CSVs.  A CSV that differs while its `# twinwell <version>`
-line is the same breaks the contract: the same config and seed must give
-the same bytes until a version bump says otherwise.  Exits 1 if any
-command breaks it, 2 if a command fails to run.
+runs a few short CLI commands in two trees, BASE_DIR (say, a `git
+worktree` of the base commit) and the tree this script lives in, each
+with its own package sources and its own `configs/` file, and compares
+the CSVs.  A CSV that differs while its `# twinwell <version>` line is
+the same breaks the contract: the same config and seed must give the same
+bytes until a version bump says otherwise.  A command is not comparable,
+and not counted, when its `# config_sha256` lines differ (the config
+changed) or when only the base run fails (the base tree lacks the config,
+rejects a key or does not know an argument).  Exits 1 if any command
+breaks the contract, 2 if a command fails to run in this tree.
 """
 
 from __future__ import annotations
@@ -32,44 +35,51 @@ COMMANDS = (
 )
 
 
-def run_csv(tree: Path, config: Path, args) -> str:
-    """The CSV one CLI command writes with `tree`'s package."""
+def run_csv(tree: Path, config: str, args) -> subprocess.CompletedProcess:
+    """One CLI command run with `tree`'s package on `tree`'s config file."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run(
-        [sys.executable, "-m", "twinwell.cli", *args, "--config", str(config)],
+    return subprocess.run(
+        [sys.executable, "-m", "twinwell.cli", *args, "--config", str(tree / "configs" / config)],
         env=env,
         capture_output=True,
         text=True,
         cwd=tree,
     )
-    if done.returncode != 0:
-        print(f"FAIL to run {' '.join(args)} in {tree}:\n{done.stderr}", file=sys.stderr)
-        sys.exit(2)
-    return done.stdout
 
 
-def version_line(csv: str) -> str:
-    return next((line for line in csv.splitlines() if line.startswith("# twinwell ")), "")
+def header_line(csv: str, prefix: str) -> str:
+    return next((line for line in csv.splitlines() if line.startswith(prefix)), "")
+
+
+def compare(old: subprocess.CompletedProcess, new: subprocess.CompletedProcess) -> tuple[str, bool]:
+    """(status, broken) of one command's base and head runs; head must run."""
+    if old.returncode != 0:
+        return "not comparable: the base run failed", False
+    before, after = old.stdout, new.stdout
+    if header_line(before, "# config_sha256") != header_line(after, "# config_sha256"):
+        return "not comparable: the config changed", False
+    if before == after:
+        return "same bytes", False
+    version_before = header_line(before, "# twinwell ")
+    version_after = header_line(after, "# twinwell ")
+    if version_before != version_after:
+        return f"changed, version {version_before!r} -> {version_after!r}", False
+    return f"BROKEN: bytes changed under the same {version_after!r}", True
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_dir", type=Path, help="tree to compare against")
-    parser.add_argument("--head-dir", type=Path, default=ROOT, help="tree under test")
-    args = parser.parse_args(argv)
-    base, head = args.base_dir.resolve(), args.head_dir.resolve()
+    base = parser.parse_args(argv).base_dir.resolve()
     broken = 0
     for config, cli_args in COMMANDS:
-        path = head / "configs" / config
-        old, new = run_csv(base, path, cli_args), run_csv(head, path, cli_args)
         label = f"{' '.join(cli_args)} --config configs/{config}"
-        if old == new:
-            status = "same bytes"
-        elif version_line(old) != version_line(new):
-            status = f"changed, version {version_line(old)!r} -> {version_line(new)!r}"
-        else:
-            status = f"BROKEN: bytes changed under the same {version_line(new)!r}"
-            broken += 1
+        new = run_csv(ROOT, config, cli_args)
+        if new.returncode != 0:
+            print(f"FAIL to run {label} in {ROOT}:\n{new.stderr}", file=sys.stderr)
+            return 2
+        status, bad = compare(run_csv(base, config, cli_args), new)
+        broken += bad
         print(f"{label}: {status}")
     return 1 if broken else 0
 

@@ -267,6 +267,15 @@ class TestKeyLists:
         )
         assert basis.tobytes() == full[..., self.BASIS_IN_FULL].tobytes()
 
+    def test_any_sequence_of_keys(self):
+        # a list tabulates as the tuple of the same keys
+        init = InitialState(N_A=8.0, N_B=18.0)
+        keys = [key for key in BASIS_KEYS if sum(key) == 2]
+        got = moment_table(RATIOS, init, [0.0, 0.7], keys)
+        want = moment_table(RATIOS, init, [0.0, 0.7], tuple(keys))
+        assert got.shape == (2, 1, 16)
+        assert got.tobytes() == want.tobytes()
+
     def test_well_part_counts(self):
         assert kerr._part_index(BASIS_KEYS)[0].shape == (4, 35)
         assert kerr._part_index(FULL_KEYS)[0].shape == (4, 69)
