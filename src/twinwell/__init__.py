@@ -27,7 +27,13 @@ from .criteria import (
     joint_moments,
     optimal_gains,
 )
-from .errors import ConfigError, DegenerateReferenceError, DivergenceError, TruncationError
+from .errors import (
+    ConfigError,
+    DegenerateReferenceError,
+    DegenerateSweepError,
+    DivergenceError,
+    TruncationError,
+)
 from .kerr import fock_moment_table, moment_table
 from .operators import NormalPoly, beam_splitter
 from .spins import SpinMoments, optimal_angle, rotated_variance, spin_moments, squeezing

@@ -11,7 +11,9 @@ Output is CSV on stdout (or --out) with a '#' header carrying the
 config hash, seed and version, so identical config + seed reproduce the
 file byte for byte.  Exit codes: 0 success, 1 failed validation,
 2 configuration error, 3 numerical divergence, 4 degenerate reference
-(a criterion's mean spin or variance vanished at some tau).
+(a criterion's mean spin or variance vanished at some tau: the CSV is
+still written, with that tau's cells empty but for `tau`, and stderr
+names the tau).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import sys
 
 from .config import RunConfig, validate_config
-from .errors import ConfigError, DegenerateReferenceError, DivergenceError
+from .errors import ConfigError, DegenerateReferenceError, DegenerateSweepError, DivergenceError
 from .sweeps import (
     dynamic_sweep,
     run_meta,
@@ -102,24 +104,27 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-        if args.command == "squeeze":
-            rows = squeeze_sweep(cfg)
-            text = write_csv(rows, run_meta(cfg, "squeeze", "exact", None))
-            _emit(text, args.out)
-        elif args.command == "two-step":
-            rows = two_step_sweep(cfg, engine=args.engine)
-            text = write_csv(rows, run_meta(cfg, "two-step", args.engine, True))
-            _emit(text, args.out)
-        elif args.command == "dynamic":
-            bs = args.beam_splitter == "on"
-            rows = dynamic_sweep(cfg, beam_splitter=bs)
-            text = write_csv(rows, run_meta(cfg, "dynamic", "wigner", bs))
-            _emit(text, args.out)
-        elif args.command == "validate":
+        if args.command == "validate":
             lines, ok = validation_report(cfg, n_traj=args.traj)
-            text = "\n".join(lines) + "\n"
-            _emit(text, args.out)
+            _emit("\n".join(lines) + "\n", args.out)
             return 0 if ok else 1
+        if args.command == "squeeze":
+            meta = run_meta(cfg, "squeeze", "exact", None)
+            sweep = lambda: squeeze_sweep(cfg)
+        elif args.command == "two-step":
+            meta = run_meta(cfg, "two-step", args.engine, True)
+            sweep = lambda: two_step_sweep(cfg, engine=args.engine)
+        else:
+            bs = args.beam_splitter == "on"
+            meta = run_meta(cfg, "dynamic", "wigner", bs)
+            sweep = lambda: dynamic_sweep(cfg, beam_splitter=bs)
+        try:
+            columns, code = sweep(), 0
+        except DegenerateSweepError as exc:
+            columns, code = exc.columns, 4
+            print(f"degenerate reference: {exc}", file=sys.stderr)
+        _emit(write_csv(columns, meta), args.out)
+        return code
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -129,7 +134,6 @@ def main(argv=None) -> int:
     except DegenerateReferenceError as exc:
         print(f"degenerate reference: {exc}", file=sys.stderr)
         return 4
-    return 0
 
 
 def console_main() -> None:  # pragma: no cover - thin wrapper

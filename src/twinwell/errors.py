@@ -16,6 +16,21 @@ class DegenerateReferenceError(ArithmeticError):
     """A criterion's reference denominator (mean spin or variance) vanished."""
 
 
+class DegenerateSweepError(DegenerateReferenceError):
+    """Some taus of a sweep have a degenerate reference.
+
+    `reasons` maps each such tau to its message; `columns` holds the CSV
+    columns of the whole sweep, every cell but `tau` empty at those taus.
+    """
+
+    def __init__(self, reasons: dict, columns: dict):
+        self.reasons = reasons
+        self.columns = columns
+        taus = ", ".join(f"{tau:.12g}" for tau in self.reasons)
+        why = "; ".join(dict.fromkeys(self.reasons.values()))
+        super().__init__(f"at tau {taus}: {why}")
+
+
 class TruncationError(RuntimeError):
     """Fock cutoff too small for the requested accuracy."""
 

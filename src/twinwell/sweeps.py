@@ -9,52 +9,61 @@ Three pipelines mirror the three experiments:
             engine, criteria with or without a final beam splitter
 
 Both engines produce one normal-ordered moment table per sweep, and the
-criteria are evaluated on it for all taus at once.  Every pipeline emits
-the same fixed row schema; standard-error columns are filled for
-stochastic runs only (sub-ensemble spread with angle and gains frozen at
-the merged-ensemble optimum).
+criteria are evaluated on it for all taus at once.  Every pipeline
+returns the same CSV columns: a dict keyed by CSV_COLUMNS, in order,
+each value a list with one entry per tau, None where the pipeline has
+no value.  Standard-error columns are filled for stochastic runs only
+(sub-ensemble spread with angle and gains frozen at the merged-ensemble
+optimum).  A degenerate reference at some tau is handled only after the
+whole-table evaluation has raised: the taus are then evaluated one by
+one, and DegenerateSweepError carries the columns of every tau, those
+of the degenerate ones empty but for `tau`.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_hash
 from .criteria import evaluate_criteria
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateReferenceError, DegenerateSweepError
 from .kerr import fock_moment_table, moment_table
 from .operators import FULL_KEYS
 from .spins import optimal_angle, spin_moments, squeezing
 from .wigner import moment_source, run_ensemble
 
 
-@dataclass
-class SweepRow:
-    tau: float
-    theta_opt: float | None = None
-    delta_theta: float | None = None
-    S_local: float | None = None
-    S_minus: float | None = None
-    S_plus: float | None = None
-    E_product: float | None = None
-    E_EPR_product: float | None = None
-    g: float | None = None
-    g_prime: float | None = None
-    duan_sum: float | None = None
-    se_S_local: float | None = None
-    se_S_minus: float | None = None
-    se_S_plus: float | None = None
-    se_E_product: float | None = None
-    se_E_EPR_product: float | None = None
-    se_duan_sum: float | None = None
+CSV_COLUMNS = (
+    "tau",
+    "theta_opt",
+    "delta_theta",
+    "S_local",
+    "S_minus",
+    "S_plus",
+    "E_product",
+    "E_EPR_product",
+    "g",
+    "g_prime",
+    "duan_sum",
+    "se_S_local",
+    "se_S_minus",
+    "se_S_plus",
+    "se_E_product",
+    "se_E_EPR_product",
+    "se_duan_sum",
+)
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+def _columns(taus, **values) -> dict:
+    """CSV columns over `taus`: the lists in `values`, and a list of None
+    for every other column."""
+    n = len(taus)
+    return {c: list(taus) if c == "tau" else values.get(c, [None] * n) for c in CSV_COLUMNS}
 
 
 def _se(x: np.ndarray) -> list:
@@ -63,12 +72,12 @@ def _se(x: np.ndarray) -> list:
     if x.shape[1] <= 2:
         return [None] * x.shape[0]
     chunks = x[:, 1:]
-    return [float(v) for v in chunks.std(ddof=1, axis=1) / math.sqrt(chunks.shape[1])]
+    return (chunks.std(ddof=1, axis=1) / math.sqrt(chunks.shape[1])).tolist()
 
 
-def criteria_row(table, sweep, beam_splitter: bool = True) -> list[SweepRow]:
-    """One row per tau of `sweep` from its (n_tau, n_ens, NBASIS) moment
-    table over the 117 number-conserving basis monomials."""
+def criteria_row(table, sweep, beam_splitter: bool = True) -> dict:
+    """Columns of `sweep`, one entry per tau, from its (n_tau, n_ens,
+    NBASIS) moment table over the 117 number-conserving basis monomials."""
     m = spin_moments(table)
     s_local = squeezing(m, optimal_angle(m)[:, :1])
     r = evaluate_criteria(
@@ -85,19 +94,54 @@ def criteria_row(table, sweep, beam_splitter: bool = True) -> list[SweepRow]:
         "E_EPR_product": r.E_EPR_product,
         "duan_sum": r.duan_sum,
     }
-    errors = {f"se_{name}": _se(x) for name, x in values.items()}
-    return [
-        SweepRow(
-            tau=tau,
-            theta_opt=float(r.theta_opt[i]),
-            delta_theta=float(r.delta_theta[i]),
-            g=float(r.g[i]),
-            g_prime=float(r.g_prime[i]),
-            **{name: float(x[i, 0]) for name, x in values.items()},
-            **{name: se[i] for name, se in errors.items()},
-        )
-        for i, tau in enumerate(sweep.taus)
-    ]
+    return _columns(
+        sweep.taus,
+        theta_opt=r.theta_opt.tolist(),
+        delta_theta=r.delta_theta.tolist(),
+        g=r.g.tolist(),
+        g_prime=r.g_prime.tolist(),
+        **{name: x[:, 0].tolist() for name, x in values.items()},
+        **{f"se_{name}": _se(x) for name, x in values.items()},
+    )
+
+
+def _squeeze_columns(table, sweep) -> dict:
+    m = spin_moments(table)
+    theta = optimal_angle(m)[:, 0]
+    s_local = squeezing(m, theta[:, None])[:, 0]
+    return _columns(
+        sweep.taus,
+        theta_opt=theta.tolist(),
+        delta_theta=m.delta_theta.tolist(),
+        S_local=s_local.tolist(),
+    )
+
+
+def _tau_by_tau(evaluate, table, sweep, **kwargs) -> dict:
+    """`evaluate(table, sweep, **kwargs)` on the whole table, or, if a
+    degenerate reference stops that, on each tau's slice alone.
+
+    Raises DegenerateSweepError with the columns of every tau, the
+    degenerate ones empty but for `tau`, when any tau is degenerate.
+    """
+    try:
+        return evaluate(table, sweep, **kwargs)
+    except DegenerateReferenceError:
+        pass
+    columns = {c: [] for c in CSV_COLUMNS}
+    reasons = {}
+    for i, tau in enumerate(sweep.taus):
+        one = replace(sweep, taus=(tau,))
+        try:
+            part = evaluate(table[i : i + 1], one, **kwargs)
+        except DegenerateReferenceError as exc:
+            reasons[tau] = str(exc)
+            part = _columns(one.taus)
+        for c in CSV_COLUMNS:
+            columns[c] += part[c]
+    if reasons:
+        raise DegenerateSweepError(reasons, columns)
+    return columns
 
 
 def _require_no_tunneling(cfg: RunConfig, what: str) -> None:
@@ -108,63 +152,49 @@ def _require_no_tunneling(cfg: RunConfig, what: str) -> None:
         )
 
 
-def squeeze_sweep(cfg: RunConfig) -> list[SweepRow]:
+def squeeze_sweep(cfg: RunConfig) -> dict:
     """Single-site squeezing vs tau (exact engine, no beam splitter)."""
     _require_no_tunneling(cfg, "the exact engine")
-    m = spin_moments(moment_table(cfg.couplings, cfg.initial, cfg.sweep.taus))
-    theta = optimal_angle(m)[:, 0]
-    s_local = squeezing(m, theta[:, None])[:, 0]
-    return [
-        SweepRow(
-            tau=tau,
-            theta_opt=float(theta[i]),
-            delta_theta=float(m.delta_theta[i]),
-            S_local=float(s_local[i]),
-        )
-        for i, tau in enumerate(cfg.sweep.taus)
-    ]
+    table = moment_table(cfg.couplings, cfg.initial, cfg.sweep.taus)
+    return _tau_by_tau(_squeeze_columns, table, cfg.sweep)
 
 
-def two_step_sweep(cfg: RunConfig, engine: str = "exact") -> list[SweepRow]:
+def two_step_sweep(cfg: RunConfig, engine: str = "exact") -> dict:
     """Nonlinear evolution, beam splitter, joint criteria."""
     _require_no_tunneling(cfg, "the two-step pipeline")
     if engine == "exact":
         if cfg.losses.enabled:
             raise ConfigError(["losses: the exact engine supports lossless dynamics only"])
         table = moment_table(cfg.couplings, cfg.initial, cfg.sweep.taus)
-        return criteria_row(table, cfg.sweep, beam_splitter=True)
+        return _tau_by_tau(criteria_row, table, cfg.sweep, beam_splitter=True)
     if engine != "wigner":
         raise ConfigError([f"engine: expected 'exact' or 'wigner', got {engine!r}"])
-    return _wigner_rows(cfg, beam_splitter=True)
+    return _wigner_columns(cfg, beam_splitter=True)
 
 
-def dynamic_sweep(cfg: RunConfig, beam_splitter: bool = False) -> list[SweepRow]:
+def dynamic_sweep(cfg: RunConfig, beam_splitter: bool = False) -> dict:
     """Simultaneous tunneling + nonlinearity + losses (stochastic engine)."""
-    return _wigner_rows(cfg, beam_splitter=beam_splitter)
+    return _wigner_columns(cfg, beam_splitter=beam_splitter)
 
 
-def _wigner_rows(cfg: RunConfig, beam_splitter: bool) -> list[SweepRow]:
+def _wigner_columns(cfg: RunConfig, beam_splitter: bool) -> dict:
     sums = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, cfg.sweep.taus, cfg.wigner)
     table = moment_source(sums, cfg.wigner.chunk_size)
-    return criteria_row(table, cfg.sweep, beam_splitter=beam_splitter)
+    return _tau_by_tau(criteria_row, table, cfg.sweep, beam_splitter=beam_splitter)
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return f"{v:.12g}"
-
-
-def write_csv(rows, meta: dict) -> str:
-    """Fixed-schema CSV with a '#' header block (config hash, seed, version)."""
+def write_csv(columns, meta: dict) -> str:
+    """CSV of a sweep's columns (keyed by CSV_COLUMNS, one entry per tau)
+    with a '#' header block (config hash, seed, version); None is an
+    empty cell."""
     buf = io.StringIO()
     buf.write(f"# twinwell {__version__}\n")
     for key, value in meta.items():
         buf.write(f"# {key}: {value}\n")
     buf.write("# columns: " + ",".join(CSV_COLUMNS) + "\n")
     buf.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(getattr(row, c)) for c in CSV_COLUMNS) + "\n")
+    for row in zip(*(columns[c] for c in CSV_COLUMNS)):
+        buf.write(",".join(["" if v is None else f"{v:.12g}" for v in row]) + "\n")
     return buf.getvalue()
 
 

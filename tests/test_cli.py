@@ -25,6 +25,12 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+def data_rows(csv):
+    """Data rows of a CSV text, split into cells ('#' lines and the column
+    header dropped)."""
+    return [line.split(",") for line in csv.splitlines() if not line.startswith("#")][1:]
+
+
 SMALL_WIGNER = {"n_traj": 400, "chunk_size": 100, "dtau": 1e-3, "seed": 7}
 
 
@@ -250,20 +256,33 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command", ["two-step", "squeeze"])
     def test_degenerate_reference_exit_4(self, capsys, tmp_path, command):
         # at N = 2000 the transverse coherence <a2† a1> underflows to zero
-        # by tau = 30000, so no measurement angle is defined there
-        cfg = write_cfg(
-            tmp_path,
-            {
-                "preset": {"tag": "B9p116G"},
-                "initial": {"N_A": 2000},
-                "sweep": {"tau_grid": [0, 1, 30000]},
-            },
+        # by tau = 30000, so no measurement angle is defined there; the
+        # taus before it keep their rows
+        doc = {
+            "preset": {"tag": "B9p116G"},
+            "initial": {"N_A": 2000},
+            "sweep": {"tau_grid": [0, 1, 30000]},
+        }
+        out_path = tmp_path / "rows.csv"
+        code, out, err = run_cli(
+            capsys, command, "--config", write_cfg(tmp_path, doc), "--out", str(out_path)
         )
-        code, out, err = run_cli(capsys, command, "--config", cfg)
         assert code == 4
         assert out == ""
-        assert err.startswith("degenerate reference: ")
+        assert err.startswith("degenerate reference: ") and "30000" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+        rows = data_rows(out_path.read_text())
+        assert len(rows) == 3
+        assert rows[2] == ["30000"] + [""] * (len(sweeps.CSV_COLUMNS) - 1)
+
+        doc["sweep"]["tau_grid"] = [0, 1]
+        code, out, _ = run_cli(capsys, command, "--config", write_cfg(tmp_path, doc, "ref.json"))
+        assert code == 0
+        for got, want in zip(rows[:2], data_rows(out), strict=True):
+            assert [c == "" for c in got] == [c == "" for c in want]
+            for g, w in zip(got, want):
+                if w:
+                    assert float(g) == pytest.approx(float(w), rel=1e-12), (got, want)
 
 
 class TestOutput:

@@ -263,10 +263,11 @@ class TestCompiledAgainstOracle:
     def test_local_squeezing_rows(self):
         table = exact_table("B9p116G", 2000.0, np.linspace(0.0, 16.0, 9))
         sweep = SweepParams(taus=tuple(np.linspace(0.0, 16.0, 9)))
-        rows = criteria_row(table, sweep)
-        for i, row in enumerate(rows):
+        column = criteria_row(table, sweep)["S_local"]
+        assert len(column) == 9
+        for i, got in enumerate(column):
             s_local, _ = oracle.local_squeezing(table[i])
-            assert row.S_local == pytest.approx(s_local[0], rel=1e-10, abs=1e-12)
+            assert got == pytest.approx(s_local[0], rel=1e-10, abs=1e-12)
 
 
 class TestOperatorProducts:
