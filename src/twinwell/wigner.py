@@ -25,11 +25,13 @@ each mode's trajectories are contiguous and `z.T.reshape(2, 2, n_traj)`
 is a view indexed (species, well, trajectory), species 1 = (α1, β1) and
 species 2 = (α2, β2).  `drift` and `_noise_term` act on that view as a
 whole: tunneling swaps the well axis, the Kerr and two-body loss rates
-combine the species axis.  The per-chunk monomial tables are
-column-major too, so every product and per-column sum is contiguous;
-they hold the 117 basis columns and the 54 lower-order ones those are
-built from, in 20 runs of columns, one product per run
-(`monomial_columns`).  The expansion keeps p - q per mode, so it maps
+combine the species axis.  `drift` returns the drift times a scale, the
+step or half of it; without losses it rotates by -i and scales in one
+pass, so a lossless `step` makes no scaling pass of its own.  The
+per-chunk monomial tables are column-major too, so every product and
+per-column sum is contiguous; they hold the 117 basis columns and the
+54 lower-order ones those are built from, in 20 runs of columns, one
+product per run (`monomial_columns`).  The expansion keeps p - q per mode, so it maps
 the number-conserving basis to itself: `moment_source` applies it as
 its 78 off-diagonal terms (`_CAHILL_TERMS`), in at most 3 gather-
 multiply-add passes over the whole table and with no BLAS call, so each
@@ -235,13 +237,11 @@ def _modes(z: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _rate_arrays(couplings: PhysicalCouplings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only columns g[:, 0], g[:, 1] of the coupling matrix and the
-    tunneling rates kappa, each shaped (species, 1, 1) to act on the
-    (species, well, traj) view."""
+def _rate_arrays(couplings: PhysicalCouplings) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only columns g[:, 0], g[:, 1] of the coupling matrix, each
+    shaped (species, 1, 1) to act on the (species, well, traj) view."""
     g = np.array([[couplings.g11, couplings.g12], [couplings.g12, couplings.g22]])
-    kappa = np.array([couplings.kappa1, couplings.kappa2])
-    arrays = g[:, 0, None, None], g[:, 1, None, None], kappa[:, None, None]
+    arrays = g[:, 0, None, None], g[:, 1, None, None]
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -252,32 +252,50 @@ def drift(
     couplings: PhysicalCouplings,
     losses: LossRates,
     linear_loss_mode: str = "symmetric",
+    scale: float = 1.0,
 ) -> np.ndarray:
-    """Deterministic part a = -i a_drift - a_loss of the phase-space flow,
-    for an (n, 4) state; the result is a column-major (n, 4) array."""
+    """scale · a, for a = -i a_drift - a_loss the deterministic part of the
+    phase-space flow of an (n, 4) state; the result is a column-major
+    (n, 4) array.
+
+    Without losses one pass over the Kerr and tunneling sum X rotates
+    and scales it: X · (-i scale) has the parts fl(X_im scale) and
+    -fl(X_re scale), the bits of (X · (-i)) · scale but for the sign of
+    an exact zero.  With losses the sum is rotated, the loss terms are
+    subtracted and the result is scaled, the bits of `drift(...) * scale`.
+    """
     v = _modes(z)
     # |v|^2 from the interleaved (re, im) pairs: one contiguous product
     sq = v.view(float) * v.view(float)
     n = sq[..., ::2] + sq[..., 1::2]
-    g0, g1, kappa = _rate_arrays(couplings)
+    g0, g1 = _rate_arrays(couplings)
     # mode (s, w) turns at the rate sum_s' g[s, s'] n[s', w] and tunnels
-    # to the other well of its species at kappa[s]; the factor -i only
-    # swaps and negates, so applying it to the sum keeps every bit
+    # to the other well of its species at kappa_s; a float times the
+    # complex view needs no buffered cast of a broadcast rate array
     out = v * (g0 * n[0] + g1 * n[1])
     if couplings.tunneling:
-        out += kappa * v[:, ::-1]
+        out[0] += couplings.kappa1 * v[0, ::-1]
+        out[1] += couplings.kappa2 * v[1, ::-1]
+    if not losses.enabled:
+        # complex(-0.0, -1.0) is -1j itself, so at scale 1 every bit,
+        # signed zeros too, is that of the plain rotation
+        out *= complex(-0.0, -scale)
+        return out.reshape(4, -1).T
+    # the factor -i only swaps and negates, so applying it to the sum
+    # keeps every bit
     out *= -1j
-    if losses.enabled:
-        # inter-species loss couples the two species in one well; the
-        # intra-species channel acts on species 2 only
-        loss = losses.gamma12 * n[::-1]
-        if losses.gamma22:
-            loss[1] += 2.0 * losses.gamma22 * n[1]
-        out -= v * loss
-        if losses.gamma1:
-            flat, zt = out.reshape(4, -1), z.T
-            for col in _linear_loss_cols(linear_loss_mode):
-                flat[col] -= losses.gamma1 * zt[col]
+    # inter-species loss couples the two species in one well; the
+    # intra-species channel acts on species 2 only
+    loss = losses.gamma12 * n[::-1]
+    if losses.gamma22:
+        loss[1] += 2.0 * losses.gamma22 * n[1]
+    out -= v * loss
+    if losses.gamma1:
+        flat, zt = out.reshape(4, -1), z.T
+        for col in _linear_loss_cols(linear_loss_mode):
+            flat[col] -= losses.gamma1 * zt[col]
+    if scale != 1.0:
+        out *= scale
     return out.reshape(4, -1).T
 
 
@@ -327,20 +345,22 @@ def step(
 
     second order in dτ for the drift.  B is analytic in z and
     <dZ dZ> = 0, so the Itô and Stratonovich readings of the equation
-    coincide.  Each result is built in place on its fresh drift array.
+    coincide.  Each result is built in place on its fresh drift array,
+    which `drift` returns already scaled: by dτ / 2 and dτ when the step
+    adds no noise, by dτ when it does, the half step then halved after
+    adding B dZ.  Without losses each evaluation rotates by -i and scales
+    in one pass.
     """
     noisy = noise is not None and losses.enabled
-    mid = drift(state, couplings, losses, linear_loss_mode)
     if noisy:
-        mid *= dtau
+        mid = drift(state, couplings, losses, linear_loss_mode, dtau)
         mid += _noise_term(state, losses, noise, linear_loss_mode)
         mid *= 0.5
     else:
-        # (a dτ) / 2 == a (dτ / 2) exactly: halving is exact
-        mid *= 0.5 * dtau
+        # a (dτ / 2) == (a dτ) / 2 exactly: halving is exact
+        mid = drift(state, couplings, losses, linear_loss_mode, 0.5 * dtau)
     mid += state
-    out = drift(mid, couplings, losses, linear_loss_mode)
-    out *= dtau
+    out = drift(mid, couplings, losses, linear_loss_mode, dtau)
     if noisy:
         out += _noise_term(mid, losses, noise, linear_loss_mode)
     out += state

@@ -230,10 +230,21 @@ EXPLICIT = {
             "two_step_losses_n2000.json",
             "5afdff61755c14451d7c7a96051e2208e46212d6ae0eafc8c6a8a55e7eda9e56",
         ),
+        (
+            "dynamic_tunneling_losses.json",
+            "f0ca1897390feb33b69cdc695be6574a1e45f58079147c1d9b6e8edceb811ba3",
+        ),
         ({}, "2da91d571fd8c2718496bb9747807c55bc94ba43f3e3f1a5b74a0662765b8136"),
         (EXPLICIT, "52a0fefc610c49167baaa8f8cbe0db04012f58e52d926d10a05e5d27c624fc18"),
     ],
-    ids=["two_step_n2000", "dynamic_strong_tunneling", "two_step_losses_n2000", "defaults", "explicit"],
+    ids=[
+        "two_step_n2000",
+        "dynamic_strong_tunneling",
+        "two_step_losses_n2000",
+        "dynamic_tunneling_losses",
+        "defaults",
+        "explicit",
+    ],
 )
 def test_config_hash_pinned(doc, digest):
     # the hash is written into every CSV header: the normalized document

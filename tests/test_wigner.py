@@ -397,6 +397,59 @@ class TestSameBytesAsV026:
         assert z.tobytes() == want.tobytes()
 
 
+class TestDriftScale:
+    """`drift(..., scale=s)` keeps the bytes of the unscaled drift times s,
+    on every case of `TestSameBytesAsV026.test_drift`."""
+
+    @pytest.mark.parametrize("scale", [0.5e-3, 1e-3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.7])
+    @pytest.mark.parametrize("losses,mode", LOSS_CASES)
+    def test_same_bytes_as_scaling_after(self, losses, mode, kappa, order, scale):
+        coup = dataclasses.replace(ASYM, kappa1=kappa, kappa2=kappa / 2)
+        rng = np.random.default_rng(41)
+        z = rng.normal(size=(37, 4)) + 1j * rng.normal(size=(37, 4))
+        z = np.asarray(z, order=order)
+        got = drift(z, coup, losses, mode, scale=scale)
+        assert got.shape == z.shape and got.flags.f_contiguous
+        assert got.tobytes() == (drift(z, coup, losses, mode) * scale).tobytes()
+
+
+class TestStepCallsTracedLayers:
+    """`step` reaches `drift` and `_noise_term` through the module
+    attributes, which is where a tracer wraps them by name."""
+
+    TAUS = (0.0, 0.002, 0.005)  # 2 + 3 steps of 1e-3
+    STEPS = 5
+
+    def counted_run(self, monkeypatch, couplings, losses):
+        calls = {"drift": 0, "_noise_term": 0}
+
+        def counting(name):
+            real = getattr(wigner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(wigner, name, wrapper)
+
+        counting("drift")
+        counting("_noise_term")
+        params = SimConfig(dtau=1e-3, n_traj=40, seed=7, chunk_size=20)
+        run_ensemble(couplings, losses, INIT, self.TAUS, params)
+        return calls
+
+    def test_lossless_tunneling(self, monkeypatch):
+        calls = self.counted_run(monkeypatch, ASYM, LOSSLESS)
+        assert calls == {"drift": 2 * self.STEPS, "_noise_term": 0}
+
+    def test_lossy(self, monkeypatch):
+        losses = LossRates(gamma1=0.01, gamma12=1e-3, gamma22=1e-3)
+        calls = self.counted_run(monkeypatch, COUP, losses)
+        assert calls == {"drift": 2 * self.STEPS, "_noise_term": 2 * self.STEPS}
+
+
 class TestDiffusion:
     def test_zero_losses_zero_matrix(self):
         z = np.ones((3, 4), dtype=complex)
