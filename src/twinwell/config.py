@@ -25,7 +25,6 @@ SCATTERING_RATIOS = {
 }
 PRESET_TAGS = ("B9p116G", "B9p086G", "NoCrossCoupling")
 
-STEPPERS = ("midpoint",)
 LINEAR_LOSS_MODES = ("symmetric", "printed", "operators")
 THETA_OBJECTIVES = ("product", "epr")
 
@@ -152,7 +151,6 @@ class SimConfig:
     dtau: float = 1e-4
     n_traj: int = 10_000
     seed: int = 1234
-    stepper: str = "midpoint"
     chunk_size: int = 500
     linear_loss_mode: str = "symmetric"
 
@@ -173,7 +171,7 @@ _COUPLING_KEYS = {"g11", "g12", "g22", "kappa", "kappa1", "kappa2"}
 _LOSS_KEYS = {"gamma1", "gamma12", "gamma22"}
 _INITIAL_KEYS = {"N_A", "N_B", "phase"}
 _SWEEP_KEYS = {"tau_max", "n_tau", "tau_grid", "fixed_theta", "theta_objective"}
-_WIGNER_KEYS = {"dtau", "n_traj", "seed", "stepper", "chunk_size", "linear_loss_mode"}
+_WIGNER_KEYS = {"dtau", "n_traj", "seed", "chunk_size", "linear_loss_mode"}
 
 
 def _num(sec, key, doc, default, errs, kind=float, minimum=None, strict=False):
@@ -303,9 +301,6 @@ def validate_config(doc: dict | None = None) -> RunConfig:
     n_traj = _num("wigner", "n_traj", wig_doc, 10_000, errs, kind=int, minimum=2)
     seed = _num("wigner", "seed", wig_doc, 1234, errs, kind=int, minimum=0)
     chunk = _num("wigner", "chunk_size", wig_doc, 500, errs, kind=int, minimum=1)
-    stepper = wig_doc.get("stepper", "midpoint")
-    if stepper not in STEPPERS:
-        errs.append(f"wigner.stepper: got {stepper!r}; expected one of {STEPPERS}")
     loss_mode = wig_doc.get("linear_loss_mode", "symmetric")
     if loss_mode not in LINEAR_LOSS_MODES:
         errs.append(
@@ -325,7 +320,7 @@ def validate_config(doc: dict | None = None) -> RunConfig:
     initial = InitialState(n_a, n_b, phase)
     losses = LossRates(gamma1, gamma12, gamma22)
     sweep = SweepParams(taus, fixed_theta, objective)
-    wigner = SimConfig(dtau, n_traj, seed, stepper, chunk, loss_mode)
+    wigner = SimConfig(dtau, n_traj, seed, chunk, loss_mode)
     if initial.N_A < 50:
         warnings.warn(
             "truncated-Wigner accuracy degrades for N_A < 50 (corrections scale "

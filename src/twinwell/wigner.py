@@ -29,9 +29,10 @@ combine the species axis.  `drift` returns the drift times a scale, the
 step or half of it; without losses it rotates by -i and scales in one
 pass, so a lossless `step` makes no scaling pass of its own.  The
 per-chunk monomial tables are column-major too, so every product and
-per-column sum is contiguous; they hold the 117 basis columns and the
-54 lower-order ones those are built from, in 20 runs of columns, one
-product per run (`monomial_columns`).  The expansion keeps p - q per mode, so it maps
+per-column sum is contiguous; they hold just the 117 basis columns,
+three blocks of outer products: the constant 1, conj(z1) z1 over the 4
+single amplitudes and conj(z2) z2 over the 10 pair products z_n z_n'
+(`monomial_columns`).  The expansion keeps p - q per mode, so it maps
 the number-conserving basis to itself: `moment_source` applies it as
 its 78 off-diagonal terms (`_CAHILL_TERMS`), in at most 3 gather-
 multiply-add passes over the whole table and with no BLAS call, so each
@@ -70,55 +71,31 @@ import numpy as np
 
 from .config import InitialState, LossRates, PhysicalCouplings, SimConfig
 from .errors import ConfigError, DivergenceError
-from .operators import BASIS_INDEX, BASIS_KEYS, FULL_KEYS, NBASIS
+from .operators import BASIS_INDEX, BASIS_KEYS, NBASIS
 
 # z-vector columns are (a1, b1, a2, b2); monomial mode order is (a1, a2, b1, b2)
 MODE_TO_ZCOL = (0, 2, 1, 3)
 
 
-def _parent(key):
-    """(parent, variable): `key` is its parent times variable `variable` of
-    the 8-variable table, the first one it holds."""
-    var = next(pos for pos, e in enumerate(key) if e)
-    parent = list(key)
-    parent[var] -= 1
-    return tuple(parent), var
+def _factor_columns(order: int) -> np.ndarray:
+    """z columns of the factors of each annihilation part q with |q| =
+    `order`, one row per part, in basis order.
+
+    The basis keys (p, q) with |p| = |q| = `order` run over p, and over q
+    within each p, through this same list of parts, so their block of the
+    basis is the outer product of conj(z^p) and z^q."""
+    keys = [k for k in BASIS_KEYS if sum(k[4:]) == order]
+    return np.array(
+        [
+            [MODE_TO_ZCOL[m] for m in range(4) for _ in range(k[4 + m])]
+            for k in keys
+            if k[:4] == keys[0][:4]
+        ]
+    )
 
 
-def _build_runs():
-    """The columns `monomial_columns` builds, and how.
-
-    Each non-constant column is its parent times one variable
-    (`_parent`).  The basis needs its own 117 columns and the 54 on its
-    parents' chains that are not in it (4 of order 1, 10 of order 2, 40
-    of order 3), laid out basis first, so the basis is the table's first
-    NBASIS columns.  Returns the 171 keys and the (first column, first
-    parent, variable, length) of each run: column c + i is column p + i
-    times variable v, for i < length.  Runs go by order, so every parent
-    is built by an earlier run; the 170 columns make 20 runs."""
-    chains = set()
-    for key in BASIS_KEYS:
-        while any(key):
-            chains.add(key)
-            key = _parent(key)[0]
-    keys = BASIS_KEYS + tuple(k for k in FULL_KEYS if k in chains and k not in BASIS_INDEX)
-    column = {k: i for i, k in enumerate(keys)}
-    runs = []
-    for key in sorted(keys[1:], key=lambda k: (sum(k), column[k])):
-        col = column[key]
-        parent, var = _parent(key)
-        parent = column[parent]
-        if runs:
-            c, p, v, n = runs[-1]
-            # one product per run: its parents must not overlap its columns
-            if (col, parent, var) == (c + n, p + n, v) and (parent < c or p > col):
-                runs[-1] = (c, p, v, n + 1)
-                continue
-        runs.append((col, parent, var, 1))
-    return keys, tuple(runs)
-
-
-_BUILD_KEYS, _BUILD_RUNS = _build_runs()
+# the 4 single amplitudes z1, and the two factors of the 10 pair products z2
+_SINGLES, _PAIRS = _factor_columns(1)[:, 0], _factor_columns(2).T
 
 
 def _cahill_terms():
@@ -168,21 +145,27 @@ _CAHILL_ROWS, _CAHILL_TERMS = _cahill_terms()
 def monomial_columns(z: np.ndarray) -> np.ndarray:
     """(n, NBASIS) table of conj(z)^p z^q monomial values for each trajectory.
 
-    Built in column-major order, one product per run of columns
-    (`_BUILD_RUNS`), so every product and the per-column sums run over
-    contiguous memory.  The result is the basis slice of the built
-    table, itself contiguous.
+    In basis order the table is three blocks: the constant 1, then
+    conj(z1) z1 over the 4 single amplitudes z1, then conj(z2) z2 over the
+    10 pair products z2 = z_n z_n'.  Each block is one creation part after
+    another, so each part is one broadcast product written straight into
+    the column-major table, and every product and the per-column sums run
+    over contiguous memory.
     """
-    n = z.shape[0]
-    out = np.empty((n, len(_BUILD_KEYS)), dtype=complex, order="F")
-    var8 = np.empty((n, 8), dtype=complex, order="F")
-    for m, col in enumerate(MODE_TO_ZCOL):
-        var8[:, m] = np.conj(z[:, col])
-        var8[:, 4 + m] = z[:, col]
+    z1 = z[:, _SINGLES]
+    z2 = z[:, _PAIRS[0]] * z[:, _PAIRS[1]]
+    out = np.empty((z.shape[0], NBASIS), dtype=complex, order="F")
     out[:, 0] = 1.0
-    for c, p, v, k in _BUILD_RUNS:
-        np.multiply(out[:, p : p + k], var8[:, v, None], out=out[:, c : c + k])
-    return out[:, :NBASIS]
+    col = 1
+    for zk in (z1, z2):
+        k = zk.shape[1]
+        conj = np.conj(zk)
+        for part in range(k):
+            # z^q conj(z^p), in this order: a fused multiply-add can round
+            # the imaginary parts of a b and b a apart
+            np.multiply(zk, conj[:, part, None], out=out[:, col : col + k])
+            col += k
+    return out
 
 
 def moment_source(sums: np.ndarray, chunk_size: int) -> np.ndarray:
@@ -430,6 +413,11 @@ def _noise_ahead(rngs, csize: int, ncols: int, hs):
                 yield noise
 
 
+# the largest block whose release raises glibc's mmap threshold: 32 MiB
+# chunks on 64-bit, less a page for the chunk header
+_MMAP_THRESHOLD_MAX = (32 << 20) - 4096
+
+
 def run_ensemble(
     couplings: PhysicalCouplings,
     losses: LossRates,
@@ -463,6 +451,13 @@ def run_ensemble(
     slices = [slice(c * csize, (c + 1) * csize) for c in range(n_chunks)]
 
     z = np.empty((n_traj, 4), dtype=complex, order="F")
+    # Freed at once, untouched: freeing a block past glibc's mmap threshold
+    # (128 KiB at first) raises that threshold to the block's size and the
+    # heap-trim threshold to twice it, so the stepping's temporaries, a few
+    # z-sized arrays per step, stay on the heap instead of being mapped and
+    # faulted in afresh on every step.  At 2 z sizes a lossy run still
+    # faults on every step, at 4 it does not; 8 leaves room.
+    np.empty(min(8 * z.nbytes, _MMAP_THRESHOLD_MAX), dtype=np.uint8)
     for c in range(n_chunks):
         z[slices[c]] = sample_initial(initial, rngs[c], csize)
 
@@ -479,11 +474,6 @@ def run_ensemble(
     sums = np.empty((len(taus), n_chunks, NBASIS), dtype=complex)
 
     def record(i_tau: int) -> None:
-        # A fresh table per chunk, not one reused buffer: freeing this
-        # block (1.4 MB at 500 trajectories, past glibc's 128 KiB mmap
-        # threshold) raises glibc's heap-trim threshold, so the
-        # stepping's temporaries stay mapped instead of being returned to
-        # the OS and faulted in again after every step.
         for c in range(n_chunks):
             sums[i_tau, c] = monomial_columns(z[slices[c]]).sum(axis=0)
 

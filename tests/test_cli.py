@@ -215,7 +215,8 @@ class TestErrorPaths:
         assert "n_traj" in err and "integer" in err
 
     def test_euler_maruyama_stepper_exit_2(self, capsys, tmp_path):
-        # the midpoint stepper is the only one
+        # the midpoint rule is the only integrator, and `stepper` is no
+        # longer a key
         cfg = write_cfg(tmp_path, {"wigner": {"stepper": "euler-maruyama"}})
         code, out, err = run_cli(capsys, "dynamic", "--config", cfg)
         assert code == 2

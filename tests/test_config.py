@@ -170,7 +170,9 @@ def test_error_collects_all_fields():
 
 
 def test_bad_stepper_and_loss_mode():
-    with pytest.raises(ConfigError, match="stepper"):
+    # there is one integrator and no key to choose it: `stepper` is an
+    # unknown key
+    with pytest.raises(ConfigError, match="wigner.stepper: unknown key"):
         validate_config({"wigner": {"stepper": "rk4"}})
     with pytest.raises(ConfigError, match="linear_loss_mode"):
         validate_config({"wigner": {"linear_loss_mode": "everything"}})
@@ -221,21 +223,21 @@ EXPLICIT = {
 @pytest.mark.parametrize(
     "doc, digest",
     [
-        ("two_step_n2000.json", "a9316a72268c233a46b791530fce3e9ad547b14a800f55d37d1ed2a101e74f97"),
+        ("two_step_n2000.json", "20f4a590f4d4205d2bf35c554209e33d851e1e0d506738c438e3c4eb18b69c8f"),
         (
             "dynamic_strong_tunneling.json",
-            "bc416934c5e58327d5113909157f7c4f3fa03133089b51e3ddaa1fa4df45cf5f",
+            "0d15dd4cca6d42615aca93b6eeb51275fdf46356e85ed2e6088f2622925adfac",
         ),
         (
             "two_step_losses_n2000.json",
-            "5afdff61755c14451d7c7a96051e2208e46212d6ae0eafc8c6a8a55e7eda9e56",
+            "e55bfd4f1d7731c88bbc0d2d8104549bef57b7744b421f6916f9e7bee33ee3ca",
         ),
         (
             "dynamic_tunneling_losses.json",
-            "f0ca1897390feb33b69cdc695be6574a1e45f58079147c1d9b6e8edceb811ba3",
+            "a50ac2cb09b9a85efec3a8a1566f2f71c96175b3fb1c7597cdaf2d940690658e",
         ),
-        ({}, "2da91d571fd8c2718496bb9747807c55bc94ba43f3e3f1a5b74a0662765b8136"),
-        (EXPLICIT, "52a0fefc610c49167baaa8f8cbe0db04012f58e52d926d10a05e5d27c624fc18"),
+        ({}, "170b08bf6ac371f2b7babaebb53c6404bde2d8267802c04e8c557ea866380e79"),
+        (EXPLICIT, "17926ac07a9e55f2af4ccb3d4ea7104783fbb0db044c4ac6e51e3b89880134a9"),
     ],
     ids=[
         "two_step_n2000",

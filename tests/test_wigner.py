@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -139,6 +140,14 @@ def step_two_evaluation(state, couplings, losses, dtau, noise=None, linear_loss_
     return state + dz(mid)
 
 
+def package_env():
+    """The environment of a fresh Python process that imports this tree's
+    package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
 FULL_INDEX = {k: i for i, k in enumerate(FULL_KEYS)}
 BASIS_IN_FULL = [FULL_INDEX[key] for key in BASIS_KEYS]
 
@@ -146,8 +155,8 @@ BASIS_IN_FULL = [FULL_INDEX[key] for key in BASIS_KEYS]
 def monomial_columns_per_column(z):
     """`monomial_columns` of v0.2.6 over every monomial of order <= 4
     (`FULL_KEYS`), one product per column, each column its parent times
-    the first variable of its key: the byte reference for the runs of
-    columns."""
+    the first variable of its key: the reference the outer products of
+    `monomial_columns` agree with to a few ulp."""
     var8 = np.conj(z[:, list(wigner.MODE_TO_ZCOL)])
     var8 = np.concatenate([var8, z[:, list(wigner.MODE_TO_ZCOL)]], axis=1)
     out = np.empty((z.shape[0], len(FULL_KEYS)), dtype=complex, order="F")
@@ -157,6 +166,24 @@ def monomial_columns_per_column(z):
         parent = list(key)
         parent[var] -= 1
         np.multiply(out[:, FULL_INDEX[tuple(parent)]], var8[:, var], out=out[:, col])
+    return out
+
+
+def monomial_columns_written_out(z):
+    """(n, NBASIS) column-major table, each basis column written out as
+    (z_n z_n') conj(z_m z_m'), z_n conj(z_m) or 1, the factors of each
+    part multiplied in mode order: the byte reference for
+    `monomial_columns`.  The annihilation part comes first: a fused
+    multiply-add can round the imaginary part of a b and b a apart."""
+
+    def product(part):
+        factors = [z[:, wigner.MODE_TO_ZCOL[m]] for m in range(4) for _ in range(part[m])]
+        return functools.reduce(np.multiply, factors)
+
+    out = np.empty((z.shape[0], NBASIS), dtype=complex, order="F")
+    out[:, 0] = 1.0
+    for col, key in enumerate(BASIS_KEYS[1:], start=1):
+        out[:, col] = product(key[4:]) * np.conj(product(key[:4]))
     return out
 
 
@@ -612,6 +639,35 @@ class TestEnsemble:
         with pytest.raises(ConfigError):
             run_ensemble(COUP, LOSSLESS, INIT, (0.5, 0.1), self.PARAMS)
 
+    @pytest.mark.skipif(
+        sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+        reason="counts the page faults of glibc's allocator on Linux",
+    )
+    def test_steps_fault_in_no_fresh_pages(self):
+        # 300 lossless steps of 20 000 trajectories, recording only at the
+        # end, in a fresh process: each step's temporaries (1.3 MB arrays)
+        # must come from the heap, not be mapped and faulted in afresh
+        # (about 450 faults per step if they are), under glibc's default
+        # settings
+        env = package_env()
+        for name in ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+            env.pop(name, None)
+        probe = (
+            "import resource\n"
+            "from twinwell.config import InitialState, LossRates, SimConfig, preset_couplings\n"
+            "from twinwell.wigner import run_ensemble\n"
+            "params = SimConfig(dtau=1e-3, n_traj=20_000, seed=1, chunk_size=500)\n"
+            "coup = preset_couplings('B9p116G', 200.0, 1.0)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_ensemble(coup, LossRates(), InitialState(N_A=200.0), (0.3,), params)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) / 300 < 50
+
 
 @pytest.fixture(params=["threaded", "one_cpu"])
 def noise_path(request):
@@ -745,9 +801,7 @@ class TestNoiseDrawnAhead:
         # concurrent.futures pulls in logging, which costs every run's
         # start-up; only a lossy run's noise draws may import it.  numpy.ma
         # (which np.unique on an int array imports) costs start-up too
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+        env = package_env()
         probe = (
             "import sys, twinwell.sweeps; "
             "print(sorted({'concurrent.futures', 'logging', 'numpy.ma'} & set(sys.modules)))"
@@ -819,37 +873,50 @@ class TestMomentConversion:
         want = np.conj(z[:, 2]) ** 2 * z[:, 0] * z[:, 1]
         assert np.allclose(cols[:, BASIS_INDEX[key]], want)
 
-    def test_column_runs_cover_the_basis_once(self):
-        # the runs build the basis and the 54 keys on its parents' chains,
-        # laid out basis first, each column once; every run's columns are
-        # their parents times the run's variable
-        keys = wigner._BUILD_KEYS
-        assert len(keys) == 171 and keys[:NBASIS] == BASIS_KEYS
-        assert [sum(k) for k in keys[NBASIS:]] == [1] * 4 + [2] * 10 + [3] * 40
-        assert len(wigner._BUILD_RUNS) == 20
-        built = {0}
-        for c, p, v, k in wigner._BUILD_RUNS:
-            assert set(range(p, p + k)) <= built  # every parent is built first
-            cols = set(range(c, c + k))
-            assert not cols & built
-            built |= cols
-            for i in range(k):
-                child = list(keys[p + i])
-                child[v] += 1
-                assert tuple(child) == keys[c + i] and not any(child[:v])
-        assert built == set(range(len(keys)))
+    def test_outer_product_blocks_are_the_basis(self):
+        # the constant, then conj(z^p) z^q for every pair of single
+        # amplitudes, then for every pair of pair products, p outer and q
+        # inner: that layout is the basis order
+        mode_of = {col: m for m, col in enumerate(wigner.MODE_TO_ZCOL)}
 
-    def test_column_runs_same_bytes_as_per_column(self):
+        def parts(factors):
+            out = []
+            for cols in factors:
+                part = [0] * 4
+                for col in cols:
+                    part[mode_of[col]] += 1
+                out.append(tuple(part))
+            return out
+
+        keys = [(0,) * 8]
+        for block in (parts(wigner._SINGLES[:, None]), parts(wigner._PAIRS.T)):
+            assert len(set(block)) == len(block)
+            keys += [p + q for p in block for q in block]
+        assert tuple(keys) == BASIS_KEYS
+
+    def test_outer_products_same_bytes_as_written_out(self):
         # the columns, and the sums `run_ensemble` records, are those of
-        # the full table at the basis columns, whether or not the number
-        # of trajectories is a multiple of 8
+        # conj(z_m z_m') (z_n z_n') written out column by column, whether
+        # or not the number of trajectories is a multiple of 8
         rng = np.random.default_rng(5)
         for n in (301, 500):
             z = np.asfortranarray(rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)))
-            cols, full = monomial_columns(z), monomial_columns_per_column(z)
+            cols, want = monomial_columns(z), monomial_columns_written_out(z)
             assert cols.shape == (n, NBASIS) and cols.flags.f_contiguous
-            assert cols.tobytes(order="F") == full[:, BASIS_IN_FULL].tobytes(order="F")
-            assert cols.sum(axis=0).tobytes() == full.sum(axis=0)[BASIS_IN_FULL].tobytes()
+            assert cols.tobytes(order="F") == want.tobytes(order="F")
+            assert cols.sum(axis=0).tobytes() == want.sum(axis=0).tobytes()
+
+    def test_outer_products_match_the_chain_build(self):
+        # the v0.2.6 chain build multiplies the quartic monomials' factors
+        # in another order: the same values to a few ulp of each
+        # monomial's modulus.  It makes the constant and the bilinears
+        # z_n conj(z_m) by the same products, so those keep their bytes
+        rng = np.random.default_rng(6)
+        z = np.asfortranarray(rng.normal(size=(4000, 4)) + 1j * rng.normal(size=(4000, 4)))
+        cols = monomial_columns(z)
+        chain = monomial_columns_per_column(z)[:, BASIS_IN_FULL]
+        assert (np.abs(cols - chain) <= 8 * np.finfo(float).eps * np.abs(chain)).all()
+        assert cols[:, :17].tobytes(order="F") == chain[:, :17].tobytes(order="F")
 
     @pytest.mark.parametrize("n_chunks", [2, 11])
     def test_per_tau_same_bytes_as_whole_table(self, n_chunks):
