@@ -43,9 +43,12 @@ column, re/im) and are read as complex.
 Loss noise is drawn ahead in blocks of NOISE_BLOCK steps (`_noise_ahead`):
 one `standard_normal` call per chunk and block, which consumes each
 chunk's stream in the same order as one call per step, so the bytes are
-those of drawing step by step.  The one worker of a thread pool draws
-the next block while the main thread steps; numpy releases the GIL
-while Philox fills, so the two overlap.  The worker calls only
+those of drawing step by step.  Each draw is a task in one queue, taken
+by the one worker of a thread pool and also by the stepping thread
+whenever that reaches a block not yet drawn, so the draws are balanced
+across two CPUs; numpy releases the GIL while Philox fills, so the draws
+and the stepping overlap.  A per-chunk lock keeps each chunk's blocks in
+stream order whichever thread draws them.  The worker calls only
 Generator methods, never a module-level function of this package: a
 tracer that wraps those functions keeps one span stack, which only the
 main thread may touch.  It does nothing else either (the scaling stays
@@ -62,10 +65,12 @@ Linear-loss placement is configurable (`linear_loss_mode`):
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -370,21 +375,32 @@ def _chunk_rng(seed: int, chunk_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# steps of loss noise each chunk draws per Philox call
-NOISE_BLOCK = 8
+# steps of loss noise each chunk draws per Philox call, and the blocks of
+# them a run holds at once
+NOISE_BLOCK = 4
+NOISE_SLOTS = 3
 
 
 def _noise_ahead(rngs, csize: int, ncols: int, hs):
     """Generator of the complex noise increments of each step in `hs`.
 
     Block b holds steps [b K, b K + K), K = NOISE_BLOCK; each chunk draws
-    its part with one `standard_normal` call into slot b % 2 of a ring of
-    chunk-major blocks.  A one-worker thread pool draws block b + 1 while
-    the stepping uses block b, and a failed draw is raised here.  As the
-    stepping reaches a step, its normals are scaled by sqrt(h/2) into one
-    buffer laid out (trajectory, column, re/im) and read as complex.
-    Closing the generator shuts the pool down, waiting for a draw still
-    running.
+    its part with one `standard_normal` call into slot b % NOISE_SLOTS of
+    a ring of chunk-major blocks.  A draw is a task, "draw chunk c's next
+    block", in one FIFO queue, which holds the tasks of the blocks up to
+    NOISE_SLOTS - 1 ahead of the one being stepped, so no slot is drawn
+    into while it is read.  Each job of a one-worker thread pool takes
+    one task; the stepping thread, when it reaches a block some chunk has
+    not drawn yet, takes tasks itself, and waits on the oldest job only
+    when the queue is empty.  A task reads chunk c's count of drawn
+    blocks, picks the slot, draws and advances the count all under c's
+    lock, so each chunk's stream is read in block order whichever thread
+    draws; the stepping reads the counts only to see whether its block
+    is drawn.  A failed draw is raised here.  As the stepping reaches a
+    step, its normals are scaled by sqrt(h/2) into one buffer laid out
+    (trajectory, column, re/im) and read as complex.  Closing the
+    generator drops the queued tasks and shuts the pool down, waiting
+    for a draw still running.
     """
     # imported here: concurrent.futures pulls in logging, which runs
     # without losses never need
@@ -392,25 +408,51 @@ def _noise_ahead(rngs, csize: int, ncols: int, hs):
 
     n_chunks, n_steps, k_max = len(rngs), len(hs), NOISE_BLOCK
     n_blocks = -(-n_steps // k_max)
-    ring = np.empty((2, n_chunks, k_max, csize, ncols, 2))
+    ring = np.empty((NOISE_SLOTS, n_chunks, k_max, csize, ncols, 2))
     raw = np.empty((n_chunks, csize, ncols, 2))
     noise = raw.reshape(n_chunks * csize, ncols, 2).view(complex)[..., 0]
+    tasks, jobs = collections.deque(), collections.deque()
+    locks = [threading.Lock() for _ in rngs]
+    drawn = [0] * n_chunks
 
-    def fill(b: int) -> None:
-        k_n = min(k_max, n_steps - b * k_max)
-        for rng, out in zip(rngs, ring[b % 2]):
-            rng.standard_normal(out=out[:k_n])
+    def take() -> bool:
+        """Draw the next queued block, if any task is left."""
+        try:
+            c = tasks.popleft()
+        except IndexError:
+            return False
+        with locks[c]:
+            b = drawn[c]
+            k_n = min(k_max, n_steps - b * k_max)
+            rngs[c].standard_normal(out=ring[b % NOISE_SLOTS, c, :k_n])
+            drawn[c] = b + 1
+        return True
 
     with ThreadPoolExecutor(1, thread_name_prefix="twinwell-noise") as pool:
-        pending = pool.submit(fill, 0)
-        for b in range(n_blocks):
-            pending.result()
-            if b + 1 < n_blocks:
-                pending = pool.submit(fill, b + 1)
-            first = b * k_max
-            for k in range(min(k_max, n_steps - first)):
-                np.multiply(ring[b % 2, :, k], math.sqrt(0.5 * hs[first + k]), out=raw)
-                yield noise
+
+        def queue(b: int) -> None:
+            if b < n_blocks:
+                tasks.extend(range(n_chunks))
+                jobs.extend(pool.submit(take) for _ in rngs)
+
+        try:
+            for b in range(NOISE_SLOTS - 1):
+                queue(b)
+            for b in range(n_blocks):
+                queue(b + NOISE_SLOTS - 1)  # into the slot block b - 1 left
+                while jobs and jobs[0].done():  # raises a failed draw early
+                    jobs.popleft().result()
+                while min(drawn) <= b:
+                    if not take():
+                        jobs.popleft().result()
+                first = b * k_max
+                for k in range(min(k_max, n_steps - first)):
+                    np.multiply(
+                        ring[b % NOISE_SLOTS, :, k], math.sqrt(0.5 * hs[first + k]), out=raw
+                    )
+                    yield noise
+        finally:
+            tasks.clear()
 
 
 # the largest block whose release raises glibc's mmap threshold: 32 MiB

@@ -8,10 +8,13 @@ with its own package sources and its own `configs/` file, and compares
 the CSVs.  A CSV that differs while its `# twinwell <version>` line is
 the same breaks the contract: the same config and seed must give the same
 bytes until a version bump says otherwise.  A command is not comparable,
-and not counted, when its `# config_sha256` lines differ (the config
-changed) or when only the base run fails (the base tree lacks the config,
-rejects a key or does not know an argument).  Exits 1 if any command
-breaks the contract, 2 if a command fails to run in this tree.
+and not counted, when its config file differs between the two trees or
+when only the base run fails (the base tree lacks the config, rejects a
+key or does not know an argument).  With the same config file the bytes
+are compared as usual, so a change that moves `# config_sha256` (say, by
+changing how the config is hashed) needs a version bump too.  Exits 1 if
+any command breaks the contract, 2 if a command fails to run in this
+tree.
 """
 
 from __future__ import annotations
@@ -49,17 +52,25 @@ def run_csv(tree: Path, config: str, args) -> subprocess.CompletedProcess:
     )
 
 
+def config_bytes(tree: Path, config: str) -> bytes | None:
+    path = tree / "configs" / config
+    return path.read_bytes() if path.is_file() else None
+
+
 def header_line(csv: str, prefix: str) -> str:
     return next((line for line in csv.splitlines() if line.startswith(prefix)), "")
 
 
-def compare(old: subprocess.CompletedProcess, new: subprocess.CompletedProcess) -> tuple[str, bool]:
-    """(status, broken) of one command's base and head runs; head must run."""
+def compare(
+    old: subprocess.CompletedProcess, new: subprocess.CompletedProcess, config_changed: bool
+) -> tuple[str, bool]:
+    """(status, broken) of one command's base and head runs, given whether
+    its config file differs between the trees; head must run."""
     if old.returncode != 0:
         return "not comparable: the base run failed", False
-    before, after = old.stdout, new.stdout
-    if header_line(before, "# config_sha256") != header_line(after, "# config_sha256"):
+    if config_changed:
         return "not comparable: the config changed", False
+    before, after = old.stdout, new.stdout
     if before == after:
         return "same bytes", False
     version_before = header_line(before, "# twinwell ")
@@ -80,7 +91,8 @@ def main(argv=None) -> int:
         if new.returncode != 0:
             print(f"FAIL to run {label} in {ROOT}:\n{new.stderr}", file=sys.stderr)
             return 2
-        status, bad = compare(run_csv(base, config, cli_args), new)
+        changed = config_bytes(base, config) != config_bytes(ROOT, config)
+        status, bad = compare(run_csv(base, config, cli_args), new, changed)
         broken += bad
         print(f"{label}: {status}")
     return 1 if broken else 0

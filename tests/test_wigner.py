@@ -7,6 +7,8 @@ import platform
 import subprocess
 import sys
 import threading
+import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -796,6 +798,78 @@ class TestNoiseDrawnAhead:
             want.value.step,
         )
         assert got.value.step % wigner.NOISE_BLOCK and got.value.tau < taus[-1]
+
+    @staticmethod
+    def slow_helper(monkeypatch, seconds, fail_on_stepping_thread=False):
+        """Make every noise draw of the helper thread sleep `seconds` first,
+        so the stepping thread has to take queued draws itself; returns
+        the list of (drawn on the helper, chunk) of each draw begun."""
+        draws = []
+
+        class Slow:
+            def __init__(self, gen, chunk):
+                self.gen, self.chunk = gen, chunk
+
+            def standard_normal(self, *args, out=None, **kwargs):
+                if out is None:
+                    return self.gen.standard_normal(*args, **kwargs)
+                helper = threading.current_thread().name.startswith("twinwell-noise")
+                draws.append((helper, self.chunk))
+                if helper:
+                    time.sleep(seconds)
+                elif fail_on_stepping_thread:
+                    raise MemoryError("draw failed")
+                return self.gen.standard_normal(*args, out=out, **kwargs)
+
+        real = wigner._chunk_rng
+        monkeypatch.setattr(wigner, "_chunk_rng", lambda seed, c: Slow(real(seed, c), c))
+        return draws
+
+    def test_stepping_thread_takes_draws_the_helper_lags_on(self, noise_path, monkeypatch):
+        losses = LossRates(gamma1=0.01, gamma12=1e-3, gamma22=1e-3)
+        params = self.params(3, "printed")
+        taus = tuple(0.002 * k for k in range(40))
+        want = run_ensemble_serial(COUP, losses, INIT, taus, params)
+        draws = self.slow_helper(monkeypatch, 0.002)
+
+        class YieldingLock:
+            # gives the other thread its turn as each chunk lock is let go,
+            # so a count advanced after the release would be read stale
+            def __init__(self):
+                self.lock = threading.Lock()
+
+            def __enter__(self):
+                self.lock.acquire()
+
+            def __exit__(self, *exc):
+                self.lock.release()
+                time.sleep(0.0005)
+
+        monkeypatch.setattr(wigner, "threading", types.SimpleNamespace(Lock=YieldingLock))
+        before = threading.active_count()
+        run = run_ensemble(COUP, losses, INIT, taus, params)
+        assert threading.active_count() == before
+        assert run.tobytes() == want.tobytes()
+        blocks = -(-78 // wigner.NOISE_BLOCK)  # 78 steps
+        assert sorted(c for _, c in draws) == sorted(list(range(3)) * blocks)
+        assert {helper for helper, _ in draws} == {True, False}  # both threads drew
+
+    @pytest.mark.parametrize("end", ["diverged", "failed"])
+    def test_early_end_drops_queued_draws(self, noise_path, monkeypatch, end):
+        # 10 steps, 3 blocks of 2 chunks, all 6 draws queued from the start;
+        # the run ends in block 0 (diverged after 3 steps, or on the
+        # stepping thread's first draw) while the helper sleeps in a draw,
+        # and the draws still queued then are never made
+        bad = PhysicalCouplings(g11=10.0, g12=0.0, g22=10.0)
+        params = SimConfig(dtau=10.0, n_traj=4, seed=1, chunk_size=2)
+        taus = (0.0, 30.0, 50.0, 100.0)
+        draws = self.slow_helper(monkeypatch, 0.1, fail_on_stepping_thread=end == "failed")
+        before = threading.active_count()
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError if end == "diverged" else MemoryError):
+                run_ensemble(bad, LossRates(gamma12=1e-3), INIT, taus, params)
+        assert threading.active_count() == before
+        assert 0 < len(draws) < 2 * -(-10 // wigner.NOISE_BLOCK)
 
     def test_import_loads_no_thread_pool(self):
         # concurrent.futures pulls in logging, which costs every run's
