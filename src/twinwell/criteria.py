@@ -141,6 +141,38 @@ def _num_den(V, theta, objective: str):
     return a["v_minus"] * b["v_plus"], np.ones_like(a["v_minus"])
 
 
+def _stationary_phases(g, deg, samples):
+    """Candidate phases φ, (n_rows, 2 deg): those of the roots of
+    z^deg Σ_{|k| <= deg} g_k z^k, g_{-k} = conj(g_k), one row per row of g.
+
+    A row whose top coefficient g_deg is 0, or so small that the companion
+    matrix overflows, has a root at 0 and one at infinity: it is deflated
+    to degree deg − 1, and so on down.  Its 2 d roots are repeated to fill
+    the row.  A row with no coefficient left takes the phase of its
+    smallest sample in `samples` (n_rows, N_SAMPLE).
+    """
+    phi = np.empty((len(g), 2 * deg))
+    todo = np.ones(len(g), dtype=bool)
+    for d in range(deg, 0, -1):
+        # highest power first
+        coef = np.concatenate([g[todo, d:0:-1], g[todo, : d + 1].conj()], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            top = -coef[:, 1:] / coef[:, :1]
+        ok = np.isfinite(top).all(axis=1)
+        if not ok.any():
+            continue
+        companion = np.zeros((np.count_nonzero(ok), 2 * d, 2 * d), dtype=complex)
+        companion[:, 0] = top[ok]
+        companion[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
+        rows = np.flatnonzero(todo)[ok]
+        phi[rows] = np.angle(np.linalg.eigvals(companion))[:, np.arange(2 * deg) % (2 * d)]
+        todo[rows] = False
+        if not todo.any():
+            return phi
+    phi[todo] = 2.0 * np.pi / N_SAMPLE * np.argmin(samples[todo], axis=1)[:, None]
+    return phi
+
+
 def optimal_theta(V, objective: str = "product") -> np.ndarray:
     """Angles in (-pi/2, pi/2] minimizing the joint inference-variance
     product, one per covariance matrix of V (shape (n_tau, 4, 4)).
@@ -153,7 +185,9 @@ def optimal_theta(V, objective: str = "product") -> np.ndarray:
     objective repeats every π/2 for "epr", and for "product" when the
     sites are uncorrelated) the smaller |θ| wins, π/4 over −π/4.  Where
     the samples are flat (the initial coherent state at tau = 0) rounding
-    alone would pick the angle, so it is 0.
+    alone would pick the angle, so it is 0.  Where the top coefficient of
+    n'd − nd' vanishes (a difference-spin block dephased to isotropy) the
+    polynomial is deflated to its true degree (`_stationary_phases`).
     """
     theta = np.zeros(len(V))
     num, den = _num_den(V[:, None], np.pi / N_SAMPLE * np.arange(N_SAMPLE), objective)
@@ -164,12 +198,7 @@ def optimal_theta(V, objective: str = "product") -> np.ndarray:
     deriv = lambda x: np.fft.irfft(1j * m * np.fft.rfft(x), N_SAMPLE)
     g = np.fft.rfft(deriv(num) * den - num * deriv(den)) / N_SAMPLE
     deg = 6 if objective == "epr" else 2
-    # z^deg Σ_{|k| <= deg} g_k z^k, highest power first, g_{-k} = conj(g_k)
-    coef = np.concatenate([g[:, deg:0:-1], g[:, : deg + 1].conj()], axis=1)
-    companion = np.zeros((len(V), 2 * deg, 2 * deg), dtype=complex)
-    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
-    companion[:, np.arange(1, 2 * deg), np.arange(2 * deg - 1)] = 1.0
-    phi = np.angle(np.linalg.eigvals(companion))
+    phi = _stationary_phases(g, deg, f[live])
     k = np.arange(1, deg + 1)
     for _ in range(3):
         terms = g[:, None, 1 : deg + 1] * np.exp(1j * k * phi[..., None])

@@ -9,7 +9,10 @@ encoded as the 8-tuple ``(p0, p1, p2, p3, q0, q1, q2, q3)``.  Polynomials
 are sparse complex combinations of such monomials; products are put back
 into normal order on the fly with the per-mode identity
 
-    a^q a†^r = sum_k k! C(q,k) C(r,k) a†^(r-k) a^(q-k).
+    a^q a†^r = sum_k k! C(q,k) C(r,k) a†^(r-k) a^(q-k),
+
+each term pair reading the contractions and integer factors of its
+exponent pair (q, r) from a cached table (`_contractions`).
 
 Mode transforms (the tunneling-pulse beam splitter in particular) are
 carried as exact numerator/half-power pairs so that bilinear expansion
@@ -28,8 +31,10 @@ moment table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +43,16 @@ N_MODES = 4
 MAX_ORDER = 4
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
+# Each order's monomials in ascending tuple order: a monomial of order n
+# is a multiset of n operator slots (the 8 exponent positions), and the
+# multisets that combinations_with_replacement lists, reversed, have
+# ascending exponent tuples.
 FULL_KEYS = tuple(
-    key for order in range(MAX_ORDER + 1) for key in sorted(_compositions(order, 2 * N_MODES))
+    tuple(slots.count(m) for m in range(2 * N_MODES))
+    for order in range(MAX_ORDER + 1)
+    for slots in reversed(
+        list(itertools.combinations_with_replacement(range(2 * N_MODES), order))
+    )
 )
 BASIS_KEYS = tuple(key for key in FULL_KEYS if sum(key[:4]) == sum(key[4:]))
 BASIS_INDEX = {k: i for i, k in enumerate(BASIS_KEYS)}
@@ -57,6 +61,28 @@ NBASIS = len(BASIS_KEYS)
 
 def key_dagger(key):
     return key[4:] + key[:4]
+
+
+@functools.cache
+def _contractions(q1, p2):
+    """Wick contractions of a^q1 (annihilators, per mode) past a†^p2.
+
+    One row per contraction vector kk, in itertools.product order: the
+    8-tuple kk + kk to subtract from the uncontracted product's exponents
+    (None when nothing is contracted), and the integer factors
+    k! C(q, k) C(p, k) of the contracted modes, in mode order.  Cached by
+    (q1, p2), so each exponent pair derives its factors once per process;
+    the pairs of order <= 4 number at most 70².
+    """
+    rows = []
+    for kk in itertools.product(*(range(min(q, p) + 1) for q, p in zip(q1, p2))):
+        factors = tuple(
+            math.comb(q, k) * math.comb(p, k) * math.factorial(k)
+            for q, p, k in zip(q1, p2, kk)
+            if k
+        )
+        rows.append((kk + kk if any(kk) else None, factors))
+    return tuple(rows)
 
 
 class NormalPoly:
@@ -95,25 +121,18 @@ class NormalPoly:
         if not isinstance(other, NormalPoly):
             return self.__rmul__(other)
         out: dict = {}
+        get = out.get
         for k1, c1 in self.terms.items():
-            p1, q1 = k1[:4], k1[4:]
+            q1 = k1[4:]
             for k2, c2 in other.terms.items():
-                p2, q2 = k2[:4], k2[4:]
                 base = c1 * c2
-                ranges = [range(min(q1[i], p2[i]) + 1) for i in range(4)]
-                for kk in itertools.product(*ranges):
+                total = tuple(map(operator.add, k1, k2))
+                for kk, factors in _contractions(q1, k2[:4]):
                     w = base
-                    for i in range(4):
-                        if kk[i]:
-                            w *= (
-                                math.comb(q1[i], kk[i])
-                                * math.comb(p2[i], kk[i])
-                                * math.factorial(kk[i])
-                            )
-                    key = tuple(p1[i] + p2[i] - kk[i] for i in range(4)) + tuple(
-                        q1[i] + q2[i] - kk[i] for i in range(4)
-                    )
-                    v = out.get(key, 0j) + w
+                    for f in factors:
+                        w *= f
+                    key = total if kk is None else tuple(map(operator.sub, total, kk))
+                    v = get(key, 0j) + w
                     if v == 0:
                         out.pop(key, None)
                     else:

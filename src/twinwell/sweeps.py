@@ -35,7 +35,6 @@ from .errors import ConfigError, DegenerateReferenceError, DegenerateSweepError
 from .kerr import fock_moment_table, moment_table
 from .operators import FULL_KEYS
 from .spins import optimal_angle, spin_moments, squeezing
-from .wigner import moment_source, run_ensemble
 
 
 CSV_COLUMNS = (
@@ -178,6 +177,10 @@ def dynamic_sweep(cfg: RunConfig, beam_splitter: bool = False) -> dict:
 
 
 def _wigner_columns(cfg: RunConfig, beam_splitter: bool) -> dict:
+    # imported here: exact runs never step, and the stochastic engine's
+    # import and Cahill tables are set-up they would otherwise pay
+    from .wigner import moment_source, run_ensemble
+
     sums = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, cfg.sweep.taus, cfg.wigner)
     table = moment_source(sums, cfg.wigner.chunk_size)
     return _tau_by_tau(criteria_row, table, cfg.sweep, beam_splitter=beam_splitter)
@@ -193,8 +196,8 @@ def write_csv(columns, meta: dict) -> str:
         buf.write(f"# {key}: {value}\n")
     buf.write("# columns: " + ",".join(CSV_COLUMNS) + "\n")
     buf.write(",".join(CSV_COLUMNS) + "\n")
-    for row in zip(*(columns[c] for c in CSV_COLUMNS)):
-        buf.write(",".join(["" if v is None else f"{v:.12g}" for v in row]) + "\n")
+    cells = [["" if v is None else f"{v:.12g}" for v in columns[c]] for c in CSV_COLUMNS]
+    buf.writelines(",".join(row) + "\n" for row in zip(*cells))
     return buf.getvalue()
 
 
@@ -221,6 +224,7 @@ def validation_report(cfg: RunConfig, n_traj: int | None = None):
     at default settings.
     """
     from .config import InitialState, preset_couplings
+    from .wigner import moment_source, run_ensemble
 
     lines = []
     ok = True

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from kerr_oracle import fock_site_moment
-from twinwell.config import InitialState, LossRates, SimConfig, preset_couplings
+from twinwell.config import InitialState, LossRates, SimConfig, preset_couplings, validate_config
 from twinwell.criteria import evaluate_criteria
 from twinwell.kerr import fock_moment_table, moment_table, site_moment
 from twinwell.operators import BASIS_INDEX, FULL_KEYS, key_dagger
 from twinwell.spins import optimal_angle, rotated_variance, spin_moments, squeezing
+from twinwell.sweeps import two_step_sweep
 from twinwell.wigner import moment_source, run_ensemble
 
 B = "B9p116G"
@@ -305,3 +306,22 @@ def test_acceptance_09_property_suites():
            ", ".join(f"{name}:{'ok' if passed else 'FAIL'}" for name, passed in checks))
     for name, passed in checks:
         assert passed, name
+
+
+def test_claim_a_entanglement_grows_with_atom_number():
+    # the abstract's claim (a), on the exact two-step sweep: the minimum
+    # of E_product over tau falls with N_A and crosses the EPR line 0.5
+    # between N_A = 200 and 500 (from 50: at 20 the config warns that TW
+    # would be inaccurate)
+    taus = [k / 100 for k in range(1201)]
+    minima = {}
+    for N in (50, 100, 200, 500, 1000, 2000):
+        cfg = validate_config({"initial": {"N_A": N}, "sweep": {"tau_grid": taus}})
+        minima[N] = min(two_step_sweep(cfg)["E_product"])
+    values = list(minima.values())
+    falls = all(b < a for a, b in zip(values, values[1:]))
+    crosses = minima[200] > 0.5 > minima[500]
+    report("10a", "entanglement grows with N_A", falls and crosses,
+           ", ".join(f"N={N} -> {v:.4f}" for N, v in minima.items()))
+    assert falls, minima
+    assert crosses, minima

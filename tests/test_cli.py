@@ -286,6 +286,16 @@ class TestErrorPaths:
                     assert float(g) == pytest.approx(float(w), rel=1e-12), (got, want)
 
 
+    def test_dephased_difference_block_exit_0(self, capsys, tmp_path):
+        # at N = 50 and tau = 40 the angle objective's top Fourier
+        # coefficient is exactly 0; the angle search deflates it
+        doc = {"initial": {"N_A": 50}, "sweep": {"tau_grid": [0, 40.0]}}
+        code, out, err = run_cli(capsys, "two-step", "--config", write_cfg(tmp_path, doc))
+        assert code == 0, err
+        rows = data_rows(out)
+        assert len(rows) == 2 and all(c for c in rows[1][:11])
+
+
 class TestOutput:
     def test_out_file(self, capsys, tmp_path):
         cfg = write_cfg(tmp_path, {"sweep": {"tau_max": 1.0, "n_tau": 2}})

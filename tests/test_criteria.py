@@ -15,8 +15,10 @@ from twinwell.config import (
     preset_couplings,
 )
 from twinwell.criteria import (
+    N_SAMPLE,
     GainPair,
     JointSpinMoments,
+    _stationary_phases,
     e_epr_product,
     e_product,
     evaluate_criteria,
@@ -387,6 +389,54 @@ class TestDuanSum:
         n0 = 0.5 * (abs(r.joint.mean_JY_C[0, 0]) + abs(r.joint.mean_JY_D[0, 0]))
         want = n0 * (r.S_minus[0, 0] + r.S_plus[0, 0] - 2.0)
         assert r.duan_sum[0, 0] == pytest.approx(want, rel=1e-10)
+
+
+def companion_phases(g, deg):
+    """Phases of the roots of z^deg Σ_{|k| <= deg} g_k z^k from one
+    companion matrix per row, without deflation (oracle)."""
+    coef = np.concatenate([g[:, deg:0:-1], g[:, : deg + 1].conj()], axis=1)
+    companion = np.zeros((len(g), 2 * deg, 2 * deg), dtype=complex)
+    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+    companion[:, np.arange(1, 2 * deg), np.arange(2 * deg - 1)] = 1.0
+    return np.angle(np.linalg.eigvals(companion))
+
+
+class TestVanishingLead:
+    """Once the difference-spin block has dephased to isotropy, the top
+    Fourier coefficient of the angle objective's derivative can be exactly
+    0; the companion matrix would then divide by it."""
+
+    @pytest.mark.parametrize(
+        "N, tau, objective", [(50.0, 40.0, "product"), (50.0, 3830 * 0.01, "epr")]
+    )
+    def test_sweep_through_a_zero_lead(self, N, tau, objective):
+        table = exact_table("B9p116G", N, [0.0, tau])
+        r = evaluate_criteria(table, objective=objective)
+        assert np.all(np.isfinite(r.theta_opt)) and np.all(np.isfinite(r.E_product))
+        v = cd_covariances(table, True)[1]
+        got = oracle._objective(v, r.theta_opt[1], objective)
+        want = oracle._objective(v, oracle.optimal_theta(v, objective), objective)
+        assert got <= want + 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("deg", [2, 6])
+    def test_rows_are_deflated_to_their_degree(self, deg):
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((4, deg + 1)) + 1j * rng.standard_normal((4, deg + 1))
+        g[:, 0] = g[:, 0].real
+        samples = rng.standard_normal((4, N_SAMPLE))
+        full = companion_phases(g, deg)
+        # rows with a nonzero lead keep their bits, whatever rows share the batch
+        g[1, deg] = 0.0
+        g[2, 2:] = 0.0
+        g[3, 1:] = 0.0
+        phi = _stationary_phases(g, deg, samples)
+        assert phi.shape == (4, 2 * deg)
+        assert np.array_equal(phi[0], full[0])
+        for row, d in ((1, deg - 1), (2, 1)):
+            roots = companion_phases(g[row : row + 1, : d + 1], d)[0]
+            assert np.array_equal(phi[row], roots[np.arange(2 * deg) % (2 * d)])
+        # no coefficient left: the phase of the smallest sample
+        assert np.all(phi[3] == 2.0 * np.pi / N_SAMPLE * np.argmin(samples[3]))
 
 
 class TestTrends:

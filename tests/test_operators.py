@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,54 @@ def poly_close(a: NormalPoly, b: NormalPoly, tol=1e-14) -> bool:
     return all(abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) <= tol for k in keys)
 
 
+def loop_mul(a: NormalPoly, b: NormalPoly) -> NormalPoly:
+    """a * b with each term pair's Wick factors derived afresh (oracle):
+    the per-pair loop that the contraction table replaced."""
+    out: dict = {}
+    for k1, c1 in a.terms.items():
+        p1, q1 = k1[:4], k1[4:]
+        for k2, c2 in b.terms.items():
+            p2, q2 = k2[:4], k2[4:]
+            base = c1 * c2
+            ranges = [range(min(q1[i], p2[i]) + 1) for i in range(4)]
+            for kk in itertools.product(*ranges):
+                w = base
+                for i in range(4):
+                    if kk[i]:
+                        w *= math.comb(q1[i], kk[i]) * math.comb(p2[i], kk[i]) * math.factorial(kk[i])
+                key = tuple(p1[i] + p2[i] - kk[i] for i in range(4)) + tuple(
+                    q1[i] + q2[i] - kk[i] for i in range(4)
+                )
+                v = out.get(key, 0j) + w
+                if v == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = v
+    return NormalPoly(out)
+
+
+def term_bits(poly: NormalPoly):
+    """Keys, in insertion order, with the exact bits of each coefficient."""
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in poly.terms.items()]
+
+
+def random_poly(rng, n_terms: int, slots=range(8), exact=False) -> NormalPoly:
+    """Up to `n_terms` monomials of order <= 4 over the exponent `slots`.
+    The coefficients are in {0, ±1} + i{0, ±1} when `exact`, so that
+    products can cancel exactly, and standard normal otherwise, so that
+    they round."""
+    terms = {}
+    for _ in range(n_terms):
+        key = [0] * 8
+        for slot in rng.choice(slots, size=rng.integers(0, MAX_ORDER + 1)):
+            key[slot] += 1
+        if exact:
+            terms[tuple(key)] = complex(*rng.integers(-1, 2, size=2)) or 1.0 + 0j
+        else:
+            terms[tuple(key)] = complex(*rng.standard_normal(2))
+    return NormalPoly(terms)
+
+
 def fock_matrix(poly: NormalPoly, cutoff=4) -> np.ndarray:
     """Dense matrix of a poly on a small four-mode Fock space (oracle)."""
     dim = cutoff + 1
@@ -128,6 +179,37 @@ class TestNormalOrdering:
             # the probed subspace; compare on the lower block
             n = 3**4
             assert np.allclose(lhs[:n, :n], rhs[:n, :n], atol=1e-10)
+
+    def test_products_match_the_per_pair_loop_bit_for_bit(self):
+        # keys, their insertion order and the coefficient bits, on every
+        # ordered pair of the four sites' spin operators (at unit and at a
+        # general phase factor) and on random polynomials up to order 4
+        ops = [
+            op
+            for pf in (1.0, np.exp(0.73j))
+            for site in (SITE_A, SITE_B, SITE_C, SITE_D)
+            for op in spin_operators(site, pf)
+        ]
+        pairs = list(itertools.product(ops, repeat=2))
+        rng = np.random.default_rng(11)
+        pairs += [(random_poly(rng, 6), random_poly(rng, 6)) for _ in range(100)]
+        # well A alone, where terms collide and cancel
+        slots = (0, 1, 4, 5)
+        pairs += [
+            (random_poly(rng, 6, slots, exact=True), random_poly(rng, 6, slots, exact=True))
+            for _ in range(100)
+        ]
+        for a, b in pairs:
+            assert term_bits(a * b) == term_bits(loop_mul(a, b))
+
+    def test_cancelled_term_leaves_the_product(self):
+        # (a1 + a2)(a1† − a2†): the constants +1 and −1 cancel, and the
+        # cancelled key is dropped where the loop drops it
+        a = annihilation(0) + annihilation(1)
+        b = creation(0) - creation(1)
+        got = a * b
+        assert (0,) * 8 not in got.terms
+        assert term_bits(got) == term_bits(loop_mul(a, b))
 
     def test_dagger(self):
         p = NormalPoly({(1, 0, 0, 0, 0, 1, 0, 0): 2.0 + 1j})
@@ -245,6 +327,10 @@ class TestMonomialKeys:
         key = (1, 2, 0, 0, 0, 1, 0, 0)  # a1† a2†² a2
         assert key_dagger(key) == (0, 1, 0, 0, 1, 2, 0, 0)
         assert len(FULL_KEYS) == len(set(FULL_KEYS)) == 495
+        # 495 distinct exponent tuples of order <= 4 are all of them; they
+        # run by order, each order in ascending tuple order
+        assert all(min(k) >= 0 and sum(k) <= MAX_ORDER for k in FULL_KEYS)
+        assert list(FULL_KEYS) == sorted(FULL_KEYS, key=lambda k: (sum(k), k))
         assert len(BASIS_KEYS) == NBASIS == 117
         for i, k in enumerate(BASIS_KEYS):
             assert BASIS_INDEX[k] == i and sum(k) <= MAX_ORDER

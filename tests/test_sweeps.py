@@ -1,7 +1,10 @@
 """The sweeps' CSV columns, cell by cell against the arrays they come from."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -140,3 +143,30 @@ def test_sweep_builds_each_product_once(monkeypatch):
     cfg = validate_config({"sweep": {"tau_grid": [0.0, 1.0]}})
     two_step_sweep(cfg)
     assert len(calls) == 13
+
+
+def test_engine_is_loaded_only_by_a_run_that_steps():
+    # in a fresh interpreter: the pipeline module and an exact two-step
+    # sweep leave the stochastic engine unloaded, and a dynamic sweep
+    # loads it
+    script = """
+import sys
+from twinwell.config import validate_config
+from twinwell.sweeps import dynamic_sweep, two_step_sweep
+two_step_sweep(validate_config({"sweep": {"tau_grid": [0.0, 1.0]}}))
+print("twinwell.wigner" in sys.modules)
+dynamic_sweep(validate_config({
+    "preset": {"tag": "B9p116G", "kappa": 1.0},
+    "sweep": {"tau_grid": [0.0, 0.1]},
+    "wigner": {"n_traj": 8, "chunk_size": 4, "dtau": 0.05},
+}))
+print("twinwell.wigner" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
