@@ -12,7 +12,6 @@ import cmath
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
@@ -321,12 +320,6 @@ def validate_config(doc: dict | None = None) -> RunConfig:
     losses = LossRates(gamma1, gamma12, gamma22)
     sweep = SweepParams(taus, fixed_theta, objective)
     wigner = SimConfig(dtau, n_traj, seed, chunk, loss_mode)
-    if initial.N_A < 50:
-        warnings.warn(
-            "truncated-Wigner accuracy degrades for N_A < 50 (corrections scale "
-            "as 1/N^(3/2))",
-            stacklevel=2,
-        )
 
     sections = {
         "initial": initial,

@@ -196,25 +196,18 @@ def bilinear(left: ModeVector, right: ModeVector) -> NormalPoly:
     if halves % 2:
         raise ValueError("bilinear of mixed normalization is not exact")
     scale = 0.5 ** (halves // 2)
-    terms: dict = {}
-    for m, cm in enumerate(left.num):
-        if cm == 0:
-            continue
-        cmc = complex(cm).conjugate()
-        for n, cn in enumerate(right.num):
-            if cn == 0:
-                continue
-            p = [0] * 4
-            q = [0] * 4
-            p[m] = 1
-            q[n] = 1
-            key = tuple(p) + tuple(q)
-            v = terms.get(key, 0j) + cmc * cn * scale
-            if v == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = v
-    return NormalPoly(terms)
+    unit = [tuple(int(j == m) for j in range(4)) for m in range(4)]
+    # each (m, n) pair is its own monomial, so no two terms meet; adding
+    # to 0j turns a -0.0 part into +0.0
+    return NormalPoly(
+        {
+            unit[m] + unit[n]: 0j + complex(cm).conjugate() * cn * scale
+            for m, cm in enumerate(left.num)
+            if cm != 0
+            for n, cn in enumerate(right.num)
+            if cn != 0
+        }
+    )
 
 
 def raising_bilinear(site) -> NormalPoly:

@@ -8,8 +8,11 @@ Three pipelines mirror the three experiments:
   dynamic   simultaneous tunneling + nonlinearity (+ losses), stochastic
             engine, criteria with or without a final beam splitter
 
-Both engines produce one normal-ordered moment table per sweep, and the
-criteria are evaluated on it for all taus at once.  Every pipeline
+Both engines produce one normal-ordered moment table per sweep, each
+through one builder that also states the engine's domain (`_exact_table`:
+lossless, no tunneling) or accuracy rule (`_wigner_table`: a warning below
+50 atoms per well), and the criteria are evaluated on it for all taus at
+once.  Every pipeline
 returns the same CSV columns: a dict keyed by CSV_COLUMNS, in order,
 each value a list with one entry per tau, None where the pipeline has
 no value.  Standard-error columns are filled for stochastic runs only
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -151,39 +155,50 @@ def _require_no_tunneling(cfg: RunConfig, what: str) -> None:
         )
 
 
+def _exact_table(cfg: RunConfig) -> np.ndarray:
+    """Moment table of the exact Kerr closed form at the config's taus:
+    lossless dynamics without tunneling only."""
+    _require_no_tunneling(cfg, "the exact engine")
+    if cfg.losses.enabled:
+        raise ConfigError(["losses: the exact engine supports lossless dynamics only"])
+    return moment_table(cfg.couplings, cfg.initial, cfg.sweep.taus)
+
+
+def _wigner_table(cfg: RunConfig) -> np.ndarray:
+    """Moment table of a truncated-Wigner run of the config, merged
+    ensemble and chunks; warns below 50 atoms per well, where the
+    method's corrections (order 1/N^(3/2)) are no longer small."""
+    # imported here: exact runs never step, and the stochastic engine's
+    # import and Cahill tables are set-up they would otherwise pay
+    from .wigner import moment_source, run_ensemble
+
+    if min(cfg.initial.N_A, cfg.initial.N_B) < 50:
+        warnings.warn(
+            "truncated-Wigner accuracy degrades for min(N_A, N_B) < 50 (corrections "
+            "scale as 1/N^(3/2))",
+            stacklevel=3,
+        )
+    sums = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, cfg.sweep.taus, cfg.wigner)
+    return moment_source(sums, cfg.wigner.chunk_size)
+
+
 def squeeze_sweep(cfg: RunConfig) -> dict:
     """Single-site squeezing vs tau (exact engine, no beam splitter)."""
-    _require_no_tunneling(cfg, "the exact engine")
-    table = moment_table(cfg.couplings, cfg.initial, cfg.sweep.taus)
-    return _tau_by_tau(_squeeze_columns, table, cfg.sweep)
+    return _tau_by_tau(_squeeze_columns, _exact_table(cfg), cfg.sweep)
 
 
 def two_step_sweep(cfg: RunConfig, engine: str = "exact") -> dict:
     """Nonlinear evolution, beam splitter, joint criteria."""
     _require_no_tunneling(cfg, "the two-step pipeline")
-    if engine == "exact":
-        if cfg.losses.enabled:
-            raise ConfigError(["losses: the exact engine supports lossless dynamics only"])
-        table = moment_table(cfg.couplings, cfg.initial, cfg.sweep.taus)
-        return _tau_by_tau(criteria_row, table, cfg.sweep, beam_splitter=True)
-    if engine != "wigner":
+    if engine not in ("exact", "wigner"):
         raise ConfigError([f"engine: expected 'exact' or 'wigner', got {engine!r}"])
-    return _wigner_columns(cfg, beam_splitter=True)
+    table = _exact_table(cfg) if engine == "exact" else _wigner_table(cfg)
+    return _tau_by_tau(criteria_row, table, cfg.sweep, beam_splitter=True)
 
 
 def dynamic_sweep(cfg: RunConfig, beam_splitter: bool = False) -> dict:
     """Simultaneous tunneling + nonlinearity + losses (stochastic engine)."""
-    return _wigner_columns(cfg, beam_splitter=beam_splitter)
-
-
-def _wigner_columns(cfg: RunConfig, beam_splitter: bool) -> dict:
-    # imported here: exact runs never step, and the stochastic engine's
-    # import and Cahill tables are set-up they would otherwise pay
-    from .wigner import moment_source, run_ensemble
-
-    sums = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, cfg.sweep.taus, cfg.wigner)
-    table = moment_source(sums, cfg.wigner.chunk_size)
-    return _tau_by_tau(criteria_row, table, cfg.sweep, beam_splitter=beam_splitter)
+    return _tau_by_tau(criteria_row, _wigner_table(cfg), cfg.sweep, beam_splitter=beam_splitter)
 
 
 def write_csv(columns, meta: dict) -> str:
@@ -224,7 +239,6 @@ def validation_report(cfg: RunConfig, n_traj: int | None = None):
     at default settings.
     """
     from .config import InitialState, preset_couplings
-    from .wigner import moment_source, run_ensemble
 
     lines = []
     ok = True
@@ -246,23 +260,26 @@ def validation_report(cfg: RunConfig, n_traj: int | None = None):
     # whatever the config's chunk_size: 2 chunks give a single difference
     n_traj = n_traj or min(cfg.wigner.n_traj, 4000)
     n_traj = max(n_traj - n_traj % VALIDATE_CHUNKS, 2 * VALIDATE_CHUNKS)
-    params = replace(cfg.wigner, n_traj=n_traj, chunk_size=n_traj // VALIDATE_CHUNKS)
-    taus = tuple(np.linspace(0.0, 2.0, 5))
-    if cfg.couplings.tunneling or cfg.losses.enabled:
+    short = replace(
+        cfg,
+        sweep=replace(cfg.sweep, taus=tuple(np.linspace(0.0, 2.0, 5))),
+        wigner=replace(cfg.wigner, n_traj=n_traj, chunk_size=n_traj // VALIDATE_CHUNKS),
+    )
+    try:
+        exact = _exact_table(short)
+    except ConfigError:
         lines.append("[SKIP] stochastic vs exact: requires zero tunneling and losses")
-    else:
-        sums = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, taus, params)
-        rw = evaluate_criteria(moment_source(sums, params.chunk_size))
-        re_ = evaluate_criteria(moment_table(cfg.couplings, cfg.initial, taus), theta=rw.theta_opt)
-        chunks = rw.E_product[:, 1:]
-        se = chunks.std(ddof=1, axis=1) / math.sqrt(chunks.shape[1])
-        dev = np.abs(rw.E_product[:, 0] - re_.E_product[:, 0])
-        worst_dev = float(np.max(dev[se > 0] / se[se > 0], initial=0.0))
-        passed = worst_dev < 4.0
-        ok &= passed
-        lines.append(
-            f"[{'PASS' if passed else 'FAIL'}] stochastic vs exact "
-            f"(n_traj={n_traj} in {VALIDATE_CHUNKS} chunks): "
-            f"max |E_product| deviation {worst_dev:.2f} standard errors (limit 4)"
-        )
+        return lines, bool(ok)
+    rw = evaluate_criteria(_wigner_table(short))
+    re_ = evaluate_criteria(exact, theta=rw.theta_opt)
+    se = np.array(_se(rw.E_product))
+    dev = np.abs(rw.E_product[:, 0] - re_.E_product[:, 0])
+    worst_dev = float(np.max(dev[se > 0] / se[se > 0], initial=0.0))
+    passed = worst_dev < 4.0
+    ok &= passed
+    lines.append(
+        f"[{'PASS' if passed else 'FAIL'}] stochastic vs exact "
+        f"(n_traj={n_traj} in {VALIDATE_CHUNKS} chunks): "
+        f"max |E_product| deviation {worst_dev:.2f} standard errors (limit 4)"
+    )
     return lines, bool(ok)

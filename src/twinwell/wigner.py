@@ -76,7 +76,7 @@ import numpy as np
 
 from .config import InitialState, LossRates, PhysicalCouplings, SimConfig
 from .errors import ConfigError, DivergenceError
-from .operators import BASIS_INDEX, BASIS_KEYS, NBASIS
+from .operators import BASIS_INDEX, BASIS_KEYS, NBASIS, _contractions
 
 # z-vector columns are (a1, b1, a2, b2); monomial mode order is (a1, a2, b1, b2)
 MODE_TO_ZCOL = (0, 2, 1, 3)
@@ -115,25 +115,14 @@ def _cahill_terms():
     """
     rows, ranked = [], ([], [], [])
     for i, key in enumerate(BASIS_KEYS):
-        p, q = key[:4], key[4:]
-        ranges = [range(min(p[j], q[j]) + 1) for j in range(4)]
-        row = {}
-        for kk in itertools.product(*ranges):
-            if not any(kk):
-                continue
-            coeff = 1.0
-            for j in range(4):
-                if kk[j]:
-                    coeff *= (
-                        math.comb(p[j], kk[j])
-                        * math.comb(q[j], kk[j])
-                        * math.factorial(kk[j])
-                        * (-0.5) ** kk[j]
-                    )
-            tgt = tuple(p[j] - kk[j] for j in range(4)) + tuple(
-                q[j] - kk[j] for j in range(4)
-            )
-            row[BASIS_INDEX[tgt]] = coeff
+        # the normal-ordering Wick factor of each contraction kk, times
+        # (-1/2)^|kk|, is the coefficient of the moment key - (kk, kk)
+        row = {
+            BASIS_INDEX[tuple(a - b for a, b in zip(key, kk))]: math.prod(factors)
+            * (-0.5) ** sum(kk[:4])
+            for kk, factors in _contractions(key[4:], key[:4])
+            if kk is not None
+        }
         if row:
             for rank, col in enumerate(sorted(row)):
                 ranked[rank].append((len(rows), col, row[col]))
@@ -466,7 +455,6 @@ def run_ensemble(
     initial: InitialState,
     taus,
     params: SimConfig,
-    n_traj: int | None = None,
     chunk_offset: int = 0,
 ) -> np.ndarray:
     """Integrate an ensemble and sum its monomials per chunk at every
@@ -482,8 +470,7 @@ def run_ensemble(
     taus = tuple(float(t) for t in taus)
     if not taus or taus[0] < 0 or any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigError(["sweep.tau_grid: must be non-empty, >= 0, strictly increasing"])
-    n_traj = params.n_traj if n_traj is None else int(n_traj)
-    csize = params.chunk_size
+    n_traj, csize = params.n_traj, params.chunk_size
     if n_traj < 2 or n_traj % csize:
         raise ConfigError(
             [f"wigner.n_traj: need a multiple of chunk_size={csize}, >= 2; got {n_traj}"]

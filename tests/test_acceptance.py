@@ -6,6 +6,7 @@ optimum sits near tau ~ 4 for N = 200 and tau ~ 9 for N = 2000 in the
 adopted time normalization).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -283,8 +284,9 @@ def test_acceptance_09_property_suites():
     r2 = run_ensemble(coup200, LossRates(), init200, taus, params)
     tables = [moment_source(r, params.chunk_size) for r in (r1, r2)]
     checks.append(("seed determinism", np.array_equal(*tables)))
-    lo = run_ensemble(coup200, LossRates(), init200, taus, params, n_traj=100)
-    hi = run_ensemble(coup200, LossRates(), init200, taus, params, n_traj=100, chunk_offset=2)
+    half = dataclasses.replace(params, n_traj=100)
+    lo = run_ensemble(coup200, LossRates(), init200, taus, half)
+    hi = run_ensemble(coup200, LossRates(), init200, taus, half, chunk_offset=2)
     merged = moment_source(np.concatenate([lo, hi], axis=1), params.chunk_size)
     checks.append(
         ("merge associativity", np.array_equal(merged, moment_source(r1, params.chunk_size)))
@@ -311,8 +313,9 @@ def test_acceptance_09_property_suites():
 def test_claim_a_entanglement_grows_with_atom_number():
     # the abstract's claim (a), on the exact two-step sweep: the minimum
     # of E_product over tau falls with N_A and crosses the EPR line 0.5
-    # between N_A = 200 and 500 (from 50: at 20 the config warns that TW
-    # would be inaccurate)
+    # between N_A = 200 and 500 (from 50, the fewest atoms per well at
+    # which the paper's truncated-Wigner results are trusted; the exact
+    # engine used here has no such floor)
     taus = [k / 100 for k in range(1201)]
     minima = {}
     for N in (50, 100, 200, 500, 1000, 2000):

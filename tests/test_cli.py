@@ -233,10 +233,15 @@ class TestErrorPaths:
         assert code == 2
         assert "kappa" in err
 
-    def test_exact_engine_rejects_losses(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "command", [["squeeze"], ["two-step", "--engine", "exact"]], ids=["squeeze", "two-step"]
+    )
+    def test_exact_engine_rejects_losses(self, capsys, tmp_path, command):
         cfg = write_cfg(tmp_path, {"losses": {"gamma1": 0.01}})
-        code, _, err = run_cli(capsys, "two-step", "--config", cfg, "--engine", "exact")
+        code, out, err = run_cli(capsys, *command, "--config", cfg)
         assert code == 2
+        assert out == ""
+        assert "losses: the exact engine supports lossless dynamics only" in err
 
     def test_divergence_exit_3(self, capsys, tmp_path):
         import numpy as np

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from twinwell.config import (
     validate_config,
 )
 from twinwell.errors import ConfigError
+from twinwell.sweeps import dynamic_sweep, squeeze_sweep, two_step_sweep
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -183,9 +186,41 @@ def test_chunk_divisibility():
         validate_config({"wigner": {"n_traj": 1001, "chunk_size": 500}})
 
 
-def test_validity_warning_for_small_n():
-    with pytest.warns(UserWarning, match="N_A < 50"):
-        validate_config({"initial": {"N_A": 20}})
+# a short sweep at few atoms per well: the truncated-Wigner accuracy
+# warning belongs to the stochastic engine's runs, not to the config
+SMALL_N_RUN = {
+    "sweep": {"tau_grid": [0.0, 0.05]},
+    "wigner": {"n_traj": 40, "chunk_size": 20, "dtau": 0.01},
+}
+
+
+def test_config_validation_does_not_warn_for_small_n():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validate_config({"initial": {"N_A": 20, "N_B": 20}})
+
+
+@pytest.mark.parametrize(
+    "initial, sweep",
+    [
+        ({"N_A": 20}, dynamic_sweep),
+        ({"N_A": 200, "N_B": 20}, dynamic_sweep),
+        ({"N_A": 20}, functools.partial(two_step_sweep, engine="wigner")),
+    ],
+    ids=["N_A-dynamic", "N_B-dynamic", "N_A-two-step-wigner"],
+)
+def test_truncated_wigner_warns_below_50_atoms_per_well(initial, sweep):
+    cfg = validate_config({"initial": initial, **SMALL_N_RUN})
+    with pytest.warns(UserWarning, match=r"accuracy degrades for min\(N_A, N_B\) < 50"):
+        sweep(cfg)
+
+
+@pytest.mark.parametrize("sweep", [squeeze_sweep, two_step_sweep], ids=["squeeze", "two-step"])
+def test_exact_engine_never_warns(sweep):
+    cfg = validate_config({"initial": {"N_A": 20, "N_B": 20}, **SMALL_N_RUN})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep(cfg)
 
 
 def test_initial_state_amplitudes():

@@ -588,10 +588,9 @@ class TestEnsemble:
 
     def test_half_ensembles_merge_to_full(self):
         full = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS)
-        lo = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS, n_traj=100)
-        hi = run_ensemble(
-            COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS, n_traj=100, chunk_offset=2
-        )
+        half = dataclasses.replace(self.PARAMS, n_traj=100)
+        lo = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, half)
+        hi = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, half, chunk_offset=2)
         merged = np.concatenate([lo, hi], axis=1)
         assert np.array_equal(merged, full)
         table = moment_source(merged, self.PARAMS.chunk_size)
