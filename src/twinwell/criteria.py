@@ -39,6 +39,11 @@ N_SAMPLE = 16
 # samples whose spread is at most FLAT_TOL times their largest value are flat
 FLAT_TOL = 1e-8
 TIE_TOL = 1e-9
+# the closed-form quartic is used where its lead is at least QUARTIC_LEAD_TOL
+# of its largest coefficient and its last Newton step at most
+# QUARTIC_STEP_TOL of each root's modulus
+QUARTIC_LEAD_TOL = 1e-3
+QUARTIC_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -141,32 +146,95 @@ def _num_den(V, theta, objective: str):
     return a["v_minus"] * b["v_plus"], np.ones_like(a["v_minus"])
 
 
+def _quadratic_roots(b, c):
+    """Both roots of y² + b y + c, the larger one without cancellation."""
+    disc = np.sqrt(b * b - 4.0 * c)
+    disc = np.where((b.conj() * disc).real < 0.0, -disc, disc)
+    y1 = -0.5 * (b + disc)
+    return y1, c / y1
+
+
+def _quartic_roots(coef):
+    """Roots (n_rows, 4) of the quartics with the coefficients `coef`
+    (n_rows, 5), highest power first, and the mask of rows they are
+    trusted on.
+
+    Ferrari's method (see Flocke, ACM TOMS 41, 30 (2015), on solving
+    quartics stably in floating point): the depressed quartic
+    y⁴ + p y² + q y + r, y = z + b/4, is the difference of squares
+    (y² + p/2 + m)² − 2m (y − q/4m)² at a root m of the resolvent cubic
+    m³ + p m² + (p²/4 − r) m − q²/8, solved by Cardano; its root of
+    largest modulus keeps the two quadratic factors free of cancellation.
+    Two Newton steps on P(z) then polish each root.  A row is trusted
+    when its lead is at least QUARTIC_LEAD_TOL of its largest coefficient
+    and the last Newton step moved each root by at most QUARTIC_STEP_TOL
+    of its modulus.  That leaves out leads dephased to rounding noise,
+    whose roots near 0 and infinity spoil the solve, and roots so close to
+    double that Newton's method converges slowly.
+    """
+    lead = coef[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b, c, d, e = (coef[:, 1:] / lead[:, None]).T
+        bb = b * b
+        p = c - 0.375 * bb
+        q = d - 0.5 * b * c + 0.125 * bb * b
+        r = e - 0.25 * b * d + 0.0625 * bb * c - 0.01171875 * bb * bb
+        # the resolvent cubic, depressed by m = t − p/3: t³ + P t + Q
+        P = -p * p / 12.0 - r
+        Q = -p * p * p / 108.0 + p * r / 3.0 - 0.125 * q * q
+        root = np.sqrt(0.25 * Q * Q + P * P * P / 27.0)
+        u3 = np.where((Q.conj() * root).real > 0.0, -0.5 * Q - root, -0.5 * Q + root)
+        u = u3 ** (1.0 / 3.0) * np.exp(2j * np.pi / 3.0 * np.arange(3))[:, None]
+        m = u - P / (3.0 * u) - p / 3.0
+        m = m[np.argmax(np.abs(m), axis=0), np.arange(len(p))]
+        s = np.sqrt(2.0 * m)
+        y1, y2 = _quadratic_roots(-s, 0.5 * p + m + 0.5 * q / s)
+        y3, y4 = _quadratic_roots(s, 0.5 * p + m - 0.5 * q / s)
+        z = np.stack([y1, y3, y2, y4], axis=1) - 0.25 * b[:, None]
+        for _ in range(2):
+            val, slope = coef[:, :1], 0.0
+            for a in coef[:, 1:].T:
+                slope = slope * z + val
+                val = val * z + a[:, None]
+            step = val / slope
+            z = z - step
+        ok = (np.abs(step) <= QUARTIC_STEP_TOL * np.abs(z)).all(axis=1)
+    ok &= np.abs(lead) >= QUARTIC_LEAD_TOL * np.abs(coef).max(axis=1)
+    return z, ok
+
+
 def _stationary_phases(g, deg, samples):
     """Candidate phases φ, (n_rows, 2 deg): those of the roots of
     z^deg Σ_{|k| <= deg} g_k z^k, g_{-k} = conj(g_k), one row per row of g.
 
-    A row whose top coefficient g_deg is 0, or so small that the companion
-    matrix overflows, has a root at 0 and one at infinity: it is deflated
-    to degree deg − 1, and so on down.  Its 2 d roots are repeated to fill
-    the row.  A row with no coefficient left takes the phase of its
-    smallest sample in `samples` (n_rows, N_SAMPLE).
+    At deg 2 a row's quartic is solved in closed form (`_quartic_roots`)
+    where that can be trusted; every other row takes the eigenvalues of
+    its companion matrix.  A row whose top coefficient g_deg is 0, or so
+    small that the companion matrix overflows, has a root at 0 and one at
+    infinity: it is deflated to degree deg − 1, and so on down.  Its 2 d
+    roots are repeated to fill the row.  A row with no coefficient left
+    takes the phase of its smallest sample in `samples` (n_rows, N_SAMPLE).
     """
     phi = np.empty((len(g), 2 * deg))
     todo = np.ones(len(g), dtype=bool)
     for d in range(deg, 0, -1):
+        rows = np.flatnonzero(todo)
         # highest power first
-        coef = np.concatenate([g[todo, d:0:-1], g[todo, : d + 1].conj()], axis=1)
+        coef = np.concatenate([g[rows, d:0:-1], g[rows, : d + 1].conj()], axis=1)
+        if d == deg == 2:
+            roots, ok = _quartic_roots(coef)
+            phi[rows[ok]] = np.angle(roots[ok])
+            todo[rows[ok]] = False
+            rows, coef = rows[~ok], coef[~ok]
         with np.errstate(divide="ignore", invalid="ignore"):
             top = -coef[:, 1:] / coef[:, :1]
         ok = np.isfinite(top).all(axis=1)
-        if not ok.any():
-            continue
-        companion = np.zeros((np.count_nonzero(ok), 2 * d, 2 * d), dtype=complex)
-        companion[:, 0] = top[ok]
-        companion[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
-        rows = np.flatnonzero(todo)[ok]
-        phi[rows] = np.angle(np.linalg.eigvals(companion))[:, np.arange(2 * deg) % (2 * d)]
-        todo[rows] = False
+        if ok.any():
+            companion = np.zeros((np.count_nonzero(ok), 2 * d, 2 * d), dtype=complex)
+            companion[:, 0] = top[ok]
+            companion[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
+            phi[rows[ok]] = np.angle(np.linalg.eigvals(companion))[:, np.arange(2 * deg) % (2 * d)]
+            todo[rows[ok]] = False
         if not todo.any():
             return phi
     phi[todo] = 2.0 * np.pi / N_SAMPLE * np.argmin(samples[todo], axis=1)[:, None]
@@ -179,11 +247,11 @@ def optimal_theta(V, objective: str = "product") -> np.ndarray:
 
     Every variance is s0 + s1 cos 2θ + s2 sin 2θ, so num and den are
     trigonometric polynomials in φ = 2θ, and the objective is stationary
-    at the real roots of n'd − nd', found for all rows at once as
-    companion-matrix eigenvalues in z = e^{iφ} and polished by Newton
-    steps.  Where θ ∓ π/2 is within TIE_TOL of the best root (the
-    objective repeats every π/2 for "epr", and for "product" when the
-    sites are uncorrelated) the smaller |θ| wins, π/4 over −π/4.  Where
+    at the real roots of n'd − nd', found for all rows at once in
+    z = e^{iφ} (`_stationary_phases`) and polished by Newton steps.
+    Where θ ∓ π/2 is within TIE_TOL of the best root (the objective
+    repeats every π/2 for "epr", and for "product" when the sites are
+    uncorrelated) the smaller |θ| wins, π/4 over −π/4.  Where
     the samples are flat (the initial coherent state at tau = 0) rounding
     alone would pick the angle, so it is 0.  Where the top coefficient of
     n'd − nd' vanishes (a difference-spin block dephased to isotropy) the

@@ -18,7 +18,7 @@ from twinwell.criteria import evaluate_criteria
 from twinwell.kerr import fock_moment_table, moment_table, site_moment
 from twinwell.operators import BASIS_INDEX, FULL_KEYS, key_dagger
 from twinwell.spins import optimal_angle, rotated_variance, spin_moments, squeezing
-from twinwell.sweeps import two_step_sweep
+from twinwell.sweeps import dynamic_sweep, two_step_sweep
 from twinwell.wigner import moment_source, run_ensemble
 
 B = "B9p116G"
@@ -328,3 +328,31 @@ def test_claim_a_entanglement_grows_with_atom_number():
            ", ".join(f"N={N} -> {v:.4f}" for N, v in minima.items()))
     assert falls, minima
     assert crosses, minima
+
+
+def test_claim_b_strong_tunnelling_is_favourable():
+    # the abstract's claim (b), on the truncated-Wigner `dynamic` sweep
+    # without the splitter (N_A = 200, 51 taus on [0, 5], 2000
+    # trajectories in chunks of 250): the minimum of E_product over tau
+    # at kappa = 1 lies more than 5 combined standard errors below the
+    # one at kappa = 0.1.  Past kappa = 1 the minimum levels off inside
+    # tau <= 5, so only weak against strong tunnelling is compared.
+    minima = {}
+    for kappa in (0.1, 1.0):
+        cfg = validate_config(
+            {
+                "preset": {"tag": B, "kappa": kappa},
+                "initial": {"N_A": 200},
+                "sweep": {"tau_max": 5.0, "n_tau": 51},
+                "wigner": {"dtau": 1e-3, "n_traj": 2000, "seed": 1234, "chunk_size": 250},
+            }
+        )
+        columns = dynamic_sweep(cfg)
+        i = int(np.argmin(columns["E_product"]))
+        minima[kappa] = (columns["E_product"][i], columns["se_E_product"][i])
+    (weak, se_weak), (strong, se_strong) = minima[0.1], minima[1.0]
+    z = (weak - strong) / math.hypot(se_weak, se_strong)
+    report("10b", "strong tunnelling is favourable", z > 5.0,
+           f"min E_product: kappa=0.1 -> {weak:.3f} +- {se_weak:.3f}, "
+           f"kappa=1 -> {strong:.3f} +- {se_strong:.3f} ({z:.1f} standard errors)")
+    assert z > 5.0, minima

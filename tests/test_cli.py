@@ -94,6 +94,10 @@ class TestDeterminism:
         [
             (["two-step"], "two_step_n2000.json"),
             (
+                ["two-step"],
+                {"initial": {"N_A": 2000}, "sweep": {"tau_max": 16.0, "n_tau": 161, "theta_objective": "epr"}},
+            ),
+            (
                 ["dynamic"],
                 {
                     "preset": {"tag": "B9p116G", "kappa": 1.0},
@@ -112,12 +116,14 @@ class TestDeterminism:
                 },
             ),
         ],
-        ids=["exact", "wigner", "wigner_cahill_blocks"],
+        ids=["exact", "exact_epr", "wigner", "wigner_cahill_blocks"],
     )
     def test_bytes_independent_of_blas_threads(self, tmp_path, argv, doc):
-        # the criteria's angle solve calls LAPACK (the moment conversion
-        # calls no BLAS); its results must not depend on how many threads
-        # the library uses
+        # the epr objective's angle solve calls LAPACK for its companion
+        # eigenvalues, and so does the product objective on the rows its
+        # closed-form quartic leaves out (the moment conversion calls no
+        # BLAS); the results must not depend on how many threads the
+        # library uses
         root = Path(__file__).resolve().parents[1]
         cfg = str(root / "configs" / doc) if isinstance(doc, str) else write_cfg(tmp_path, doc)
         src = str(root / "src")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import criteria_oracle as oracle
+from twinwell import criteria
 from twinwell.config import (
     InitialState,
     LossRates,
@@ -16,8 +17,10 @@ from twinwell.config import (
 )
 from twinwell.criteria import (
     N_SAMPLE,
+    QUARTIC_LEAD_TOL,
     GainPair,
     JointSpinMoments,
+    _quartic_roots,
     _stationary_phases,
     e_epr_product,
     e_product,
@@ -425,18 +428,96 @@ class TestVanishingLead:
         g[:, 0] = g[:, 0].real
         samples = rng.standard_normal((4, N_SAMPLE))
         full = companion_phases(g, deg)
-        # rows with a nonzero lead keep their bits, whatever rows share the batch
         g[1, deg] = 0.0
         g[2, 2:] = 0.0
         g[3, 1:] = 0.0
         phi = _stationary_phases(g, deg, samples)
         assert phi.shape == (4, 2 * deg)
-        assert np.array_equal(phi[0], full[0])
+        # a row with a nonzero lead keeps its bits, whatever rows share the batch
+        assert np.array_equal(phi[0], _stationary_phases(g[:1], deg, samples[:1])[0])
+        if deg == 2:
+            # solved in closed form: the companion roots, in another order
+            assert np.allclose(np.sort(phi[0]), np.sort(full[0]), rtol=0.0, atol=1e-12)
+        else:
+            assert np.array_equal(phi[0], full[0])
         for row, d in ((1, deg - 1), (2, 1)):
             roots = companion_phases(g[row : row + 1, : d + 1], d)[0]
             assert np.array_equal(phi[row], roots[np.arange(2 * deg) % (2 * d)])
         # no coefficient left: the phase of the smallest sample
         assert np.all(phi[3] == 2.0 * np.pi / N_SAMPLE * np.argmin(samples[3]))
+
+
+def quartic_coef(g):
+    """Coefficients of z² Σ_{|k| <= 2} g_k z^k, highest power first."""
+    return np.concatenate([g[:, 2:0:-1], g[:, :3].conj()], axis=1)
+
+
+def g_from_roots(roots):
+    """The (g_0, g_1, g_2) row, g_0 real, whose quartic has `roots`,
+    which must come in pairs z, 1/conj(z) (or lie on the unit circle)."""
+    coef = np.poly(roots)
+    # coef[4 - k] = λ conj(coef[k]) with |λ| = 1; the factor λ^(-1/2)
+    # makes the middle coefficient real
+    coef = coef / np.sqrt(coef[4])
+    return np.array([coef[2].real, coef[1], coef[0]])
+
+
+class TestQuarticRoots:
+    """The product objective's quartic solved in closed form, against the
+    companion matrix's eigenvalues."""
+
+    def test_random_rows_match_companion_roots(self):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((500, 3)) + 1j * rng.standard_normal((500, 3))
+        g[:, 0] = g[:, 0].real
+        coef = quartic_coef(g)
+        roots, ok = _quartic_roots(coef)
+        assert ok.all()
+        companion = np.zeros((len(g), 4, 4), dtype=complex)
+        companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+        companion[:, np.arange(1, 4), np.arange(3)] = 1.0
+        want = np.linalg.eigvals(companion)
+        # each root has a companion root within 1e-12 relative, and back
+        dist = np.abs(roots[:, :, None] - want[:, None, :])
+        assert np.all(dist.min(axis=2) <= 1e-12 * np.abs(roots))
+        assert np.all(dist.min(axis=1) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            # a near-double pair z, 1/conj(z) just off the unit circle
+            [1.00000001 * np.exp(0.7j), np.exp(0.7j) / 1.00000001, 2.0 * np.exp(-2j), 0.5 * np.exp(-2j)],
+            # two roots on the unit circle, 1e-9 apart
+            [np.exp(1.3j), np.exp((1.3 + 1e-9) * 1j), 1.5 * np.exp(0.2j), np.exp(0.2j) / 1.5],
+        ],
+        ids=["off_circle", "on_circle"],
+    )
+    def test_near_double_roots_take_the_companion_path(self, roots):
+        g = g_from_roots(np.array(roots))[None]
+        assert not _quartic_roots(quartic_coef(g))[1][0]
+        phi = _stationary_phases(g, 2, np.zeros((1, N_SAMPLE)))
+        assert np.array_equal(phi, companion_phases(g, 2))
+
+    def test_tiny_lead_takes_the_companion_path(self):
+        g = np.array([[0.3, 1.0 - 0.5j, 1e-3 * QUARTIC_LEAD_TOL]])
+        assert not _quartic_roots(quartic_coef(g))[1][0]
+        phi = _stationary_phases(g, 2, np.zeros((1, N_SAMPLE)))
+        assert np.array_equal(phi, companion_phases(g, 2))
+
+    def test_scan_objective_no_higher_than_from_companion_roots(self, monkeypatch):
+        # long exact scans that reach the dephased rows whose lead
+        # vanishes: at every tau, the angle found from the closed-form
+        # roots is as good as the one found from companion roots alone
+        taus = np.arange(4000) / 100
+        tables = [exact_table("B9p116G", N, taus) for N in (50.0, 100.0)]
+        got = [evaluate_criteria(table).joint for table in tables]
+        none_trusted = lambda coef: (np.zeros((len(coef), 4), dtype=complex), np.zeros(len(coef), bool))
+        monkeypatch.setattr(criteria, "_quartic_roots", none_trusted)
+        for table, j in zip(tables, got):
+            ref = evaluate_criteria(table).joint
+            f = j.var_minus_theta * j.var_plus_perp
+            f_ref = ref.var_minus_theta * ref.var_plus_perp
+            assert np.all(f <= f_ref + 1e-12 * np.abs(f_ref))
 
 
 class TestTrends:
