@@ -145,6 +145,8 @@ class SimConfig:
     exactly.  Trajectories are organized in chunks of `chunk_size`, each
     with its own counter-derived random stream, which makes results
     independent of worker count and lets half-ensembles merge exactly.
+    `validate_config` shrinks a `chunk_size` above `n_traj` to `n_traj`
+    (one chunk), so `{"n_traj": 100}` runs one chunk of 100.
     """
 
     dtau: float = 1e-4
@@ -253,6 +255,8 @@ def validate_config(doc: dict | None = None) -> RunConfig:
                 f"preset.tag: unknown tag {preset_tag!r}; expected one of {PRESET_TAGS}"
             )
         kappa = _num("preset", "kappa", preset_doc, 0.0, errs, minimum=0.0)
+        if 0 < n_a < 1:  # N_A <= 0 is reported above
+            errs.append("initial.N_A: must be >= 1 for a preset")
         if not errs:
             couplings = preset_couplings(preset_tag, n_a, kappa)
 

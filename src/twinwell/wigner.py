@@ -26,8 +26,9 @@ is a view indexed (species, well, trajectory), species 1 = (α1, β1) and
 species 2 = (α2, β2).  `drift` and `_noise_term` act on that view as a
 whole: tunneling swaps the well axis, the Kerr and two-body loss rates
 combine the species axis.  `drift` returns the drift times a scale, the
-step or half of it; without losses it rotates by -i and scales in one
-pass, so a lossless `step` makes no scaling pass of its own.  The
+step or half of it: one pass rotates the Kerr and tunneling sum by -i
+and scales it, and the loss terms come with their rates pre-scaled, so
+`step` makes no scaling pass of its own.  The
 per-chunk monomial tables are column-major too, so every product and
 per-column sum is contiguous; they hold just the 117 basis columns,
 three blocks of outer products: the constant 1, conj(z1) z1 over the 4
@@ -235,11 +236,9 @@ def drift(
     phase-space flow of an (n, 4) state; the result is a column-major
     (n, 4) array.
 
-    Without losses one pass over the Kerr and tunneling sum X rotates
-    and scales it: X · (-i scale) has the parts fl(X_im scale) and
-    -fl(X_re scale), the bits of (X · (-i)) · scale but for the sign of
-    an exact zero.  With losses the sum is rotated, the loss terms are
-    subtracted and the result is scaled, the bits of `drift(...) * scale`.
+    One pass over the Kerr and tunneling sum X rotates and scales it:
+    X · (-i scale) has the parts fl(X_im scale) and -fl(X_re scale).  The
+    loss terms are then subtracted at their rates times scale.
     """
     v = _modes(z)
     # |v|^2 from the interleaved (re, im) pairs: one contiguous product
@@ -253,26 +252,20 @@ def drift(
     if couplings.tunneling:
         out[0] += couplings.kappa1 * v[0, ::-1]
         out[1] += couplings.kappa2 * v[1, ::-1]
-    if not losses.enabled:
-        # complex(-0.0, -1.0) is -1j itself, so at scale 1 every bit,
-        # signed zeros too, is that of the plain rotation
-        out *= complex(-0.0, -scale)
-        return out.reshape(4, -1).T
-    # the factor -i only swaps and negates, so applying it to the sum
-    # keeps every bit
-    out *= -1j
-    # inter-species loss couples the two species in one well; the
-    # intra-species channel acts on species 2 only
-    loss = losses.gamma12 * n[::-1]
-    if losses.gamma22:
-        loss[1] += 2.0 * losses.gamma22 * n[1]
-    out -= v * loss
-    if losses.gamma1:
-        flat, zt = out.reshape(4, -1), z.T
-        for col in _linear_loss_cols(linear_loss_mode):
-            flat[col] -= losses.gamma1 * zt[col]
-    if scale != 1.0:
-        out *= scale
+    # complex(-0.0, -1.0) is -1j itself, so at scale 1 every bit, signed
+    # zeros too, is that of the plain rotation
+    out *= complex(-0.0, -scale)
+    if losses.enabled:
+        # inter-species loss couples the two species in one well; the
+        # intra-species channel acts on species 2 only
+        loss = (scale * losses.gamma12) * n[::-1]
+        if losses.gamma22:
+            loss[1] += (2.0 * scale * losses.gamma22) * n[1]
+        out -= v * loss
+        if losses.gamma1:
+            flat, zt = out.reshape(4, -1), z.T
+            for col in _linear_loss_cols(linear_loss_mode):
+                flat[col] -= (scale * losses.gamma1) * zt[col]
     return out.reshape(4, -1).T
 
 
@@ -323,19 +316,14 @@ def step(
     second order in dτ for the drift.  B is analytic in z and
     <dZ dZ> = 0, so the Itô and Stratonovich readings of the equation
     coincide.  Each result is built in place on its fresh drift array,
-    which `drift` returns already scaled: by dτ / 2 and dτ when the step
-    adds no noise, by dτ when it does, the half step then halved after
-    adding B dZ.  Without losses each evaluation rotates by -i and scales
-    in one pass.
+    which `drift` returns already scaled, by dτ / 2 and by dτ.
     """
     noisy = noise is not None and losses.enabled
+    mid = drift(state, couplings, losses, linear_loss_mode, 0.5 * dtau)
     if noisy:
-        mid = drift(state, couplings, losses, linear_loss_mode, dtau)
-        mid += _noise_term(state, losses, noise, linear_loss_mode)
-        mid *= 0.5
-    else:
-        # a (dτ / 2) == (a dτ) / 2 exactly: halving is exact
-        mid = drift(state, couplings, losses, linear_loss_mode, 0.5 * dtau)
+        half = _noise_term(state, losses, noise, linear_loss_mode)
+        half *= 0.5
+        mid += half
     mid += state
     out = drift(mid, couplings, losses, linear_loss_mode, dtau)
     if noisy:

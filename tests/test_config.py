@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from twinwell.errors import ConfigError
 from twinwell.sweeps import dynamic_sweep, squeeze_sweep, two_step_sweep
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_defaults_accepted():
@@ -172,6 +174,24 @@ def test_error_collects_all_fields():
         pytest.fail("expected ConfigError")
 
 
+def test_preset_n_a_error_collected_with_the_others():
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"initial": {"N_A": 0.5}, "losses": {"gamma1": -1}})
+    assert exc.value.errors == [
+        "initial.N_A: must be >= 1 for a preset",
+        "losses.gamma1: must be >= 0.0",
+    ]
+
+
+def test_readme_defaults_are_the_defaults():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(
+        r"All\s+sections\s+optional\s+\(defaults shown\):\n\n```json\n(.*?)```", text, re.S
+    )
+    shown = validate_config(json.loads(block.group(1)))
+    assert config_hash(shown) == config_hash(validate_config({}))
+
+
 def test_bad_stepper_and_loss_mode():
     # there is one integrator and no key to choose it: `stepper` is an
     # unknown key
@@ -184,6 +204,15 @@ def test_bad_stepper_and_loss_mode():
 def test_chunk_divisibility():
     with pytest.raises(ConfigError, match="multiple of chunk_size"):
         validate_config({"wigner": {"n_traj": 1001, "chunk_size": 500}})
+
+
+def test_chunk_size_above_n_traj_shrinks_to_one_chunk():
+    cfg = validate_config({"wigner": {"n_traj": 100}})
+    assert cfg.wigner.chunk_size == 100
+    assert cfg.document["wigner"]["chunk_size"] == 100
+    # below n_traj it is kept, and must divide n_traj
+    with pytest.raises(ConfigError, match=r"multiple of chunk_size \(500\)"):
+        validate_config({"wigner": {"n_traj": 600}})
 
 
 # a short sweep at few atoms per well: the truncated-Wigner accuracy
@@ -271,6 +300,10 @@ EXPLICIT = {
             "dynamic_tunneling_losses.json",
             "a50ac2cb09b9a85efec3a8a1566f2f71c96175b3fb1c7597cdaf2d940690658e",
         ),
+        (
+            "two_step_linear_loss.json",
+            "d8caf6f95c3da280554112f1dd7fb4ab02690af57a7fe79c8a79a2b9afaf981f",
+        ),
         ({}, "170b08bf6ac371f2b7babaebb53c6404bde2d8267802c04e8c557ea866380e79"),
         (EXPLICIT, "17926ac07a9e55f2af4ccb3d4ea7104783fbb0db044c4ac6e51e3b89880134a9"),
     ],
@@ -279,6 +312,7 @@ EXPLICIT = {
         "dynamic_strong_tunneling",
         "two_step_losses_n2000",
         "dynamic_tunneling_losses",
+        "two_step_linear_loss",
         "defaults",
         "explicit",
     ],
