@@ -5,7 +5,7 @@ engine, feeding shared spin-squeezing / entanglement / EPR-steering
 criteria, with a sweep CLI on top.
 """
 
-__version__ = "0.2.10"
+__version__ = "0.2.11"
 
 from .config import (
     InitialState,

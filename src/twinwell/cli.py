@@ -86,9 +86,10 @@ def _load(args) -> RunConfig:
         overrides["seed"] = args.seed
     if args.traj is not None:
         overrides["n_traj"] = args.traj
-    if overrides:
-        doc = dict(doc)
-        doc["wigner"] = dict(doc.get("wigner") or {}, **overrides)
+    # a document or wigner section that is not a JSON object is left for
+    # validate_config to report
+    if overrides and isinstance(doc, dict) and isinstance(doc.get("wigner", {}), dict):
+        doc = dict(doc, wigner=dict(doc.get("wigner", {}), **overrides))
     return validate_config(doc)
 
 

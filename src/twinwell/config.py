@@ -177,7 +177,7 @@ _WIGNER_KEYS = {"dtau", "n_traj", "seed", "chunk_size", "linear_loss_mode"}
 
 def _num(sec, key, doc, default, errs, kind=float, minimum=None, strict=False):
     raw = doc.get(key, default)
-    if raw is None:
+    if raw is None and default is None:  # null stands for an absent key only here
         return None
     try:
         # json true/false, which kind() reads as 1/0, and strings, which it parses
@@ -201,37 +201,47 @@ def _num(sec, key, doc, default, errs, kind=float, minimum=None, strict=False):
     return v
 
 
+def _section(doc, name, errs) -> dict:
+    """The JSON object `doc[name]`, {} when the key is absent; any other
+    value is reported in `errs` and read as {}."""
+    sec = doc.get(name, {})
+    if isinstance(sec, dict):
+        return sec
+    errs.append(f"{name}: expected a JSON object, got {sec!r}")
+    return {}
+
+
 def _check_keys(sec, doc, allowed, errs):
     for k in doc:
         if k not in allowed:
             errs.append(f"{sec}.{k}: unknown key (allowed: {sorted(allowed)})")
 
 
-def validate_config(doc: dict | None = None) -> RunConfig:
+def validate_config(doc: dict) -> RunConfig:
     """Validate and normalize a configuration document.
 
     Collects every violation before raising, so one pass over the error
-    list fixes the file.  Unknown keys are rejected.
+    list fixes the file.  Unknown keys are rejected, and so is a document
+    or section that is not a JSON object.
     """
-    doc = dict(doc or {})
+    if not isinstance(doc, dict):
+        raise ConfigError([f"config: expected a JSON object, got {doc!r}"])
     errs: list[str] = []
     _check_keys("config", doc, _TOP_KEYS, errs)
 
-    initial_doc = dict(doc.get("initial") or {})
+    initial_doc = _section(doc, "initial", errs)
     _check_keys("initial", initial_doc, _INITIAL_KEYS, errs)
     n_a = _num("initial", "N_A", initial_doc, 200.0, errs, minimum=0.0, strict=True)
     n_b = _num("initial", "N_B", initial_doc, None, errs, minimum=0.0, strict=True)
     phase = _num("initial", "phase", initial_doc, 0.0, errs)
 
-    preset_doc = doc.get("preset")
-    coup_doc = doc.get("couplings")
-    if preset_doc is not None and coup_doc is not None:
+    preset_doc = _section(doc, "preset", errs)
+    coup_doc = _section(doc, "couplings", errs)
+    if "preset" in doc and "couplings" in doc:
         errs.append("config: provide either 'preset' or 'couplings', not both")
-        coup_doc = None
     couplings = None
     preset_tag = None
-    if coup_doc is not None:
-        coup_doc = dict(coup_doc)
+    if "couplings" in doc and "preset" not in doc:
         _check_keys("couplings", coup_doc, _COUPLING_KEYS, errs)
         if "kappa" in coup_doc and ("kappa1" in coup_doc or "kappa2" in coup_doc):
             errs.append("couplings: give either 'kappa' or 'kappa1'/'kappa2', not both")
@@ -247,7 +257,6 @@ def validate_config(doc: dict | None = None) -> RunConfig:
         if not errs:
             couplings = PhysicalCouplings(g11, g12, g22, k1, k2)
     else:
-        preset_doc = dict(preset_doc or {"tag": "B9p116G"})
         _check_keys("preset", preset_doc, _PRESET_KEYS, errs)
         preset_tag = preset_doc.get("tag", "B9p116G")
         if preset_tag not in PRESET_TAGS:
@@ -260,13 +269,13 @@ def validate_config(doc: dict | None = None) -> RunConfig:
         if not errs:
             couplings = preset_couplings(preset_tag, n_a, kappa)
 
-    loss_doc = dict(doc.get("losses") or {})
+    loss_doc = _section(doc, "losses", errs)
     _check_keys("losses", loss_doc, _LOSS_KEYS, errs)
     gamma1 = _num("losses", "gamma1", loss_doc, 0.0, errs, minimum=0.0)
     gamma12 = _num("losses", "gamma12", loss_doc, 0.0, errs, minimum=0.0)
     gamma22 = _num("losses", "gamma22", loss_doc, 0.0, errs, minimum=0.0)
 
-    sweep_doc = dict(doc.get("sweep") or {})
+    sweep_doc = _section(doc, "sweep", errs)
     _check_keys("sweep", sweep_doc, _SWEEP_KEYS, errs)
     grid = sweep_doc.get("tau_grid")
     if grid is not None:
@@ -298,7 +307,7 @@ def validate_config(doc: dict | None = None) -> RunConfig:
             f"sweep.theta_objective: got {objective!r}; expected one of {THETA_OBJECTIVES}"
         )
 
-    wig_doc = dict(doc.get("wigner") or {})
+    wig_doc = _section(doc, "wigner", errs)
     _check_keys("wigner", wig_doc, _WIGNER_KEYS, errs)
     dtau = _num("wigner", "dtau", wig_doc, 1e-4, errs, minimum=0.0, strict=True)
     n_traj = _num("wigner", "n_traj", wig_doc, 10_000, errs, kind=int, minimum=2)

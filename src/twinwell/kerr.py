@@ -11,21 +11,21 @@ amplitudes: commuting each operator through the exponentials with
 a_i f(N_j) = f(N_j + δ_ij) a_i leaves
 
     <a1†^p1 a2†^p2 a1^q1 a2^q2>(t)
-      = e^{iφ} ᾱ1^p1 α1^q1 ᾱ2^p2 α2^q2
-        · exp[λ1 (e^{-i u1 t} - 1)] · exp[λ2 (e^{-i u2 t} - 1)],
+      = ᾱ1^p1 α1^q1 ᾱ2^p2 α2^q2
+        · exp[λ1 (e^{-i u1 t} - 1) + λ2 (e^{-i u2 t} - 1) + i φ t],
 
     u1 = (q1-p1) g11 + (q2-p2) g12,   u2 = (q1-p1) g12 + (q2-p2) g22,
-    φ  = t [ g11 (p1(p1-1) - q1(q1-1))/2 + g22 (p2(p2-1) - q2(q2-1))/2
-             + g12 (p1 p2 - q1 q2) ],
+    φ  = g11 (p1(p1-1) - q1(q1-1))/2 + g22 (p2(p2-1) - q2(q2-1))/2
+         + g12 (p1 p2 - q1 q2),
 
-with λ_i = |α_i|².  Wells never couple under this Hamiltonian, so
-cross-site monomials factorize: `moment_table` tabulates the moment
-basis (or any list of monomial keys) for a grid of times from the closed
-form, and `fock_moment_table` from an independent truncated Fock-basis
-oracle that cross-checks it.  Both evaluate every well part of the keys
-once per distinct coherent amplitude, over all times at once (one
-`site_moment` call when the wells share α), and form each column as its
-well-A part times its well-B part.
+with λ_i = |α_i|²; `site_moment` evaluates this one expression.  Wells
+never couple under this Hamiltonian, so cross-site monomials factorize:
+`moment_table` tabulates the moment basis (or any list of monomial keys)
+for a grid of times from the closed form, and `fock_moment_table` from an
+independent truncated Fock-basis oracle that cross-checks it.  Both
+evaluate every well part of the keys once per distinct coherent
+amplitude, over all times at once (one `site_moment` call when the wells
+share α), and form each column as its well-A part times its well-B part.
 """
 
 from __future__ import annotations
@@ -57,51 +57,41 @@ def site_moment(
     g22: float,
     tau,
 ):
-    """Closed-form <a1†^p1 a2†^p2 a1^q1 a2^q2>(tau) for one well.
+    """Closed-form <a1†^p1 a2†^p2 a1^q1 a2^q2>(tau) for one well,
+
+        ᾱ1^p1 α1^q1 ᾱ2^p2 α2^q2
+          · exp[λ1 (e^{-i u1 t} - 1) + λ2 (e^{-i u2 t} - 1) + i φ t]
+
+    (u1, u2, φ as in the module docstring), evaluated as that one
+    expression on (parts × times) broadcast arrays.
 
     `tau` may be a scalar or an array of times, and the exponents ints or
     int arrays of one shape, a batch of well parts; the result has shape
-    (*tau.shape, *parts.shape).  Every entry is the per-part product
-    ((prefactor·E1)·E2)·phase, taken in that order over numpy arrays, so
-    its bits do not depend on the batch.
+    (*tau.shape, *parts.shape).  Every entry takes the same numpy array
+    operations whatever the batch, so its bits do not depend on the batch.
     """
     alpha1 = complex(alpha1)
     alpha2 = complex(alpha2)
     tau = np.asarray(tau, dtype=float)
     exps = np.broadcast_arrays(p1, p2, q1, q2)
-    c1 = alpha1.conjugate()
-    c2 = alpha2.conjugate()
-    prefs = []
-    for p1, p2, q1, q2 in zip(*(e.ravel().tolist() for e in exps)):
-        pref = 1.0 + 0j
-        for _ in range(p1):
-            pref *= c1
-        for _ in range(q1):
-            pref *= alpha1
-        for _ in range(p2):
-            pref *= c2
-        for _ in range(q2):
-            pref *= alpha2
-        prefs.append(pref)
-    p1, p2, q1, q2 = (e.ravel() for e in exps)
-    rates = (
+    # parts along axis 0 and times along axis 1, even for a single part:
+    # numpy's scalar arithmetic may round a complex product apart
+    p1, p2, q1, q2 = (e.reshape(-1, 1) for e in exps)
+    t = tau.reshape(1, -1)
+    pref = alpha1.conjugate() ** p1 * alpha1**q1 * alpha2.conjugate() ** p2 * alpha2**q2
+    u1 = (q1 - p1) * g11 + (q2 - p2) * g12
+    u2 = (q1 - p1) * g12 + (q2 - p2) * g22
+    phi = (
         0.5 * g11 * (p1 * (p1 - 1) - q1 * (q1 - 1))
         + 0.5 * g22 * (p2 * (p2 - 1) - q2 * (q2 - 1))
         + g12 * (p1 * p2 - q1 * q2)
     )
-    turning = rates != 0.0
-    # each time factor once per distinct (q1-p1, q2-p2), each phase once
-    # per distinct rate; parts along axis 0, times along axis 1
-    (d1, d2), diff_row = np.unique(np.stack([q1 - p1, q2 - p2]), axis=1, return_inverse=True)
-    turn_rates, rate_row = np.unique(rates[turning], return_inverse=True)
-    t = tau.reshape(1, -1)
-    e1 = np.exp(_abs2(alpha1) * (np.exp((-1j * (d1 * g11 + d2 * g12))[:, None] * t) - 1.0))
-    e2 = np.exp(_abs2(alpha2) * (np.exp((-1j * (d1 * g12 + d2 * g22))[:, None] * t) - 1.0))
-    val = np.array(prefs)[:, None] * e1[diff_row] * e2[diff_row]
-    # out of place: numpy may round an in-place complex product of one
-    # element apart from the same product in a longer array
-    val[turning] = val[turning] * np.exp(1j * (t * turn_rates[:, None]))[rate_row]
-    return val.T.reshape(tau.shape + exps[0].shape)[()]
+    exponent = (
+        _abs2(alpha1) * (np.exp(-1j * (u1 * t)) - 1.0)
+        + _abs2(alpha2) * (np.exp(-1j * (u2 * t)) - 1.0)
+        + 1j * (phi * t)
+    )
+    return (pref * np.exp(exponent)).T.reshape(tau.shape + exps[0].shape)[()]
 
 
 def _site_parts(key):

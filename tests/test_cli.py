@@ -220,6 +220,34 @@ class TestErrorPaths:
         assert out == ""
         assert "n_traj" in err and "integer" in err
 
+    @pytest.mark.parametrize(
+        "doc, argv, field",
+        [
+            ({"initial": {"N_A": None}}, ["squeeze"], "initial.N_A"),
+            ({"wigner": {"seed": None}}, ["squeeze"], "wigner.seed"),
+            ({"wigner": {"seed": None}}, ["dynamic", "--traj", "4"], "wigner.seed"),
+            ({"losses": 5}, ["two-step"], "losses"),
+            ({"wigner": [1]}, ["dynamic", "--seed", "3"], "wigner"),
+            ([1], ["dynamic", "--traj", "4"], "config"),
+            (None, ["squeeze"], "config"),
+        ],
+        ids=[
+            "null-N_A",
+            "null-seed-squeeze",
+            "null-seed-dynamic",
+            "losses-5",
+            "wigner-array",
+            "array",
+            "null",
+        ],
+    )
+    def test_null_or_non_object_exit_2(self, capsys, tmp_path, doc, argv, field):
+        # these used to print a traceback and exit 1, or run with seed None
+        code, out, err = run_cli(capsys, *argv, "--config", write_cfg(tmp_path, doc))
+        assert code == 2
+        assert out == ""
+        assert f"{field}: expected a" in err and "Traceback" not in err
+
     def test_euler_maruyama_stepper_exit_2(self, capsys, tmp_path):
         # the midpoint rule is the only integrator, and `stepper` is no
         # longer a key

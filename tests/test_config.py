@@ -183,6 +183,92 @@ def test_preset_n_a_error_collected_with_the_others():
     ]
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("initial", "N_A"),
+        ("initial", "phase"),
+        ("preset", "kappa"),
+        ("couplings", "g12"),
+        ("couplings", "g22"),
+        ("couplings", "kappa"),
+        ("couplings", "kappa1"),
+        ("couplings", "kappa2"),
+        ("losses", "gamma1"),
+        ("losses", "gamma12"),
+        ("losses", "gamma22"),
+        ("sweep", "tau_max"),
+        ("sweep", "n_tau"),
+        ("wigner", "dtau"),
+        ("wigner", "n_traj"),
+        ("wigner", "seed"),
+        ("wigner", "chunk_size"),
+    ],
+)
+def test_null_rejected_where_the_default_is_a_number(section, key):
+    # null would reach the sweep as None: a TypeError, or `# seed: None`
+    sec = {"g11": 0.01} if section == "couplings" else {}
+    with pytest.raises(ConfigError) as exc:
+        validate_config({section: {**sec, key: None}})
+    assert exc.value.errors == [f"{section}.{key}: expected a number, got None"]
+
+
+def test_null_is_the_default_where_the_default_is_null():
+    cfg = validate_config({"initial": {"N_A": 300, "N_B": None}, "sweep": {"fixed_theta": None}})
+    assert cfg.initial.N_B == 300.0 and cfg.sweep.fixed_theta is None
+    with pytest.raises(ConfigError, match="couplings.g11: required"):
+        validate_config({"couplings": {"g11": None}})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [path.name for path in sorted(CONFIGS.glob("*.json"))] + [{}],
+    ids=lambda doc: doc or "defaults",
+)
+def test_normalized_document_validates_to_the_same_hash(doc):
+    # the normalized document, `fixed_theta: null` included, is a valid
+    # config that describes the same run
+    cfg = load_config(CONFIGS / doc) if isinstance(doc, str) else validate_config(doc)
+    assert config_hash(validate_config(cfg.document)) == config_hash(cfg)
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ({"initial": 5}, "initial: expected a JSON object, got 5"),
+        ({"losses": "ab"}, "losses: expected a JSON object, got 'ab'"),
+        ({"wigner": [1]}, "wigner: expected a JSON object, got [1]"),
+        ({"sweep": None}, "sweep: expected a JSON object, got None"),
+        ({"preset": "B9p116G"}, "preset: expected a JSON object, got 'B9p116G'"),
+        ([1], "config: expected a JSON object, got [1]"),
+        (None, "config: expected a JSON object, got None"),
+    ],
+    ids=[
+        "initial-5",
+        "losses-string",
+        "wigner-array",
+        "sweep-null",
+        "preset-string",
+        "array",
+        "null",
+    ],
+)
+def test_section_that_is_not_an_object_rejected(doc, error):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(doc)
+    assert exc.value.errors == [error]
+
+
+def test_section_error_collected_with_the_others():
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"initial": 5, "losses": {"gamma1": -1}, "wigner": {"seed": None}})
+    assert exc.value.errors == [
+        "initial: expected a JSON object, got 5",
+        "losses.gamma1: must be >= 0.0",
+        "wigner.seed: expected a number, got None",
+    ]
+
+
 def test_readme_defaults_are_the_defaults():
     text = README.read_text(encoding="utf-8")
     block = re.search(

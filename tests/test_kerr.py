@@ -41,34 +41,30 @@ def two_mode_first_moment(alpha, couplings, i: int, tau: float) -> complex:
     )
 
 
-def loop_site_moment(p1, p2, q1, q2, alpha1, alpha2, g11, g12, g22, taus):
-    """The closed form for one well part on an array of times, with the
-    products in the order site_moment keeps: ((prefactor·E1)·E2)·phase."""
+def part_site_moment(p1, p2, q1, q2, alpha1, alpha2, g11, g12, g22, taus):
+    """The closed form for one well part on an array of times, written out
+    in the order site_moment evaluates it: prefactor times the exponential
+    of the sum λ1 (e^{-i u1 t} - 1) + λ2 (e^{-i u2 t} - 1) + i φ t."""
     alpha1, alpha2 = complex(alpha1), complex(alpha2)
     lam1 = alpha1.real * alpha1.real + alpha1.imag * alpha1.imag
     lam2 = alpha2.real * alpha2.real + alpha2.imag * alpha2.imag
     taus = np.asarray(taus, dtype=float)
-    d1, d2 = q1 - p1, q2 - p2
-    pref = 1.0 + 0j
-    for _ in range(p1):
-        pref *= alpha1.conjugate()
-    for _ in range(q1):
-        pref *= alpha1
-    for _ in range(p2):
-        pref *= alpha2.conjugate()
-    for _ in range(q2):
-        pref *= alpha2
-    val = (
-        pref
-        * np.exp(lam1 * (np.exp(-1j * (d1 * g11 + d2 * g12) * taus) - 1.0))
-        * np.exp(lam2 * (np.exp(-1j * (d1 * g12 + d2 * g22) * taus) - 1.0))
-    )
-    rate = (
+    # the products are numpy's, as in site_moment: Python's complex product
+    # may round apart from numpy's vectorised one
+    pref = np.array([alpha1.conjugate() ** p1]) * alpha1**q1
+    pref = pref * alpha2.conjugate() ** p2 * alpha2**q2
+    u1 = (q1 - p1) * g11 + (q2 - p2) * g12
+    u2 = (q1 - p1) * g12 + (q2 - p2) * g22
+    phi = (
         0.5 * g11 * (p1 * (p1 - 1) - q1 * (q1 - 1))
         + 0.5 * g22 * (p2 * (p2 - 1) - q2 * (q2 - 1))
         + g12 * (p1 * p2 - q1 * q2)
     )
-    return val * np.exp(1j * (taus * rate)) if rate != 0.0 else val
+    return pref * np.exp(
+        lam1 * (np.exp(-1j * (u1 * taus)) - 1.0)
+        + lam2 * (np.exp(-1j * (u2 * taus)) - 1.0)
+        + 1j * (phi * taus)
+    )
 
 
 def max_rel_error(table, oracle):
@@ -217,7 +213,7 @@ class TestBatchedParts:
         for j, part in enumerate(self.PARTS.tolist()):
             want = site_moment(*part, *self.ALPHAS, *self.G, taus)
             assert got[:, j].tobytes() == want.tobytes(), part
-            assert np.array_equal(got[:, j], loop_site_moment(*part, *self.ALPHAS, *self.G, taus)), part
+            assert np.array_equal(got[:, j], part_site_moment(*part, *self.ALPHAS, *self.G, taus)), part
         # a scalar time is a one-element grid
         at_one = site_moment(*self.PARTS.T, *self.ALPHAS, *self.G, taus[3])
         assert at_one.tobytes() == got[3].tobytes()
