@@ -12,7 +12,7 @@ import cmath
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -28,17 +28,35 @@ LINEAR_LOSS_MODES = ("symmetric", "printed", "operators")
 THETA_OBJECTIVES = ("product", "epr")
 
 
-@dataclass(frozen=True)
-class PhysicalCouplings:
-    """Dimensionless nonlinear couplings g̃_ij and tunneling rates κ̃_i."""
+class _Checked:
+    """Named-tuple mixin whose records are checked when built: the class's
+    `_checked` runs in the constructor, and `_make`, and so `_replace`,
+    go through the constructor."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _CouplingFields(NamedTuple):
     g11: float
     g12: float
     g22: float
     kappa1: float = 0.0
     kappa2: float = 0.0
 
-    def __post_init__(self):
+
+class PhysicalCouplings(_Checked, _CouplingFields):
+    """Dimensionless nonlinear couplings g̃_ij and tunneling rates κ̃_i."""
+
+    __slots__ = ()
+
+    def _checked(self):
         errs = []
         if not self.g11 > 0:
             errs.append("couplings.g11: must be > 0")
@@ -47,21 +65,25 @@ class PhysicalCouplings:
                 errs.append(f"couplings.{name}: must be >= 0")
         if errs:
             raise ConfigError(errs)
+        return self
 
     @property
     def tunneling(self) -> bool:
         return self.kappa1 != 0.0 or self.kappa2 != 0.0
 
 
-@dataclass(frozen=True)
-class LossRates:
-    """Dimensionless loss rates; all zero reproduces unitary dynamics."""
-
+class _LossFields(NamedTuple):
     gamma1: float = 0.0
     gamma12: float = 0.0
     gamma22: float = 0.0
 
-    def __post_init__(self):
+
+class LossRates(_Checked, _LossFields):
+    """Dimensionless loss rates; all zero reproduces unitary dynamics."""
+
+    __slots__ = ()
+
+    def _checked(self):
         errs = [
             f"losses.{n}: must be >= 0"
             for n in ("gamma1", "gamma12", "gamma22")
@@ -69,23 +91,30 @@ class LossRates:
         ]
         if errs:
             raise ConfigError(errs)
+        return self
 
     @property
     def enabled(self) -> bool:
         return self.gamma1 != 0.0 or self.gamma12 != 0.0 or self.gamma22 != 0.0
 
 
-@dataclass(frozen=True)
-class InitialState:
-    """Four-mode coherent state with N/2 mean atoms per internal mode."""
-
+class _InitialFields(NamedTuple):
     N_A: float = 200.0
     N_B: float | None = None
     phase: float = 0.0
 
-    def __post_init__(self):
+
+class InitialState(_Checked, _InitialFields):
+    """Four-mode coherent state with N/2 mean atoms per internal mode.
+
+    `N_B` defaults to `N_A`.
+    """
+
+    __slots__ = ()
+
+    def _checked(self):
         if self.N_B is None:
-            object.__setattr__(self, "N_B", float(self.N_A))
+            return InitialState(self.N_A, float(self.N_A), self.phase)
         errs = []
         if not self.N_A > 0:
             errs.append("initial.N_A: must be > 0")
@@ -93,6 +122,7 @@ class InitialState:
             errs.append("initial.N_B: must be > 0")
         if errs:
             raise ConfigError(errs)
+        return self
 
     @property
     def alpha_a(self) -> complex:
@@ -127,8 +157,7 @@ def preset_couplings(preset: str, N_A: float, kappa: float = 0.0) -> PhysicalCou
     )
 
 
-@dataclass(frozen=True)
-class SweepParams:
+class SweepParams(NamedTuple):
     """tau grid plus measurement-angle options shared by all pipelines."""
 
     taus: tuple
@@ -136,8 +165,7 @@ class SweepParams:
     theta_objective: str = "product"
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     """Stochastic-engine parameters.
 
     `dtau` is an upper bound on the step; each output interval is split
@@ -156,8 +184,7 @@ class SimConfig:
     linear_loss_mode: str = "symmetric"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     couplings: PhysicalCouplings
     losses: LossRates
     initial: InitialState
@@ -248,7 +275,8 @@ def validate_config(doc: dict) -> RunConfig:
         kappa = _num("couplings", "kappa", coup_doc, 0.0, errs, minimum=0.0)
         g11 = _num("couplings", "g11", coup_doc, None, errs, minimum=0.0, strict=True)
         if g11 is None:
-            errs.append("couplings.g11: required when 'couplings' is given")
+            if isinstance(doc["couplings"], dict):  # any other value is reported above
+                errs.append("couplings.g11: required when 'couplings' is given")
             g11 = 1.0
         g12 = _num("couplings", "g12", coup_doc, 0.0, errs, minimum=0.0)
         g22 = _num("couplings", "g22", coup_doc, g11, errs, minimum=0.0)
@@ -341,7 +369,7 @@ def validate_config(doc: dict) -> RunConfig:
         "wigner": wigner,
         "couplings": couplings,
     }
-    document = {name: asdict(value) for name, value in sections.items()}
+    document = {name: value._asdict() for name, value in sections.items()}
     # the config-file key, so the hash of an unchanged file stays put
     document["sweep"]["tau_grid"] = list(document["sweep"].pop("taus"))
     return RunConfig(couplings, losses, initial, sweep, wigner, document)

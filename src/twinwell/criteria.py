@@ -25,7 +25,7 @@ term for term; the tests check this and K against its hand expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ QUARTIC_LEAD_TOL = 1e-3
 QUARTIC_STEP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GainPair:
+class GainPair(NamedTuple):
     """Inference gains minimizing var(J_C^θ − g J_D^θ) and var(J_C^θ' + g' J_D^θ').
 
     One pair per tau, chosen on the merged ensemble.
@@ -57,8 +56,7 @@ class GainPair:
     g_prime: np.ndarray
 
 
-@dataclass(frozen=True)
-class JointSpinMoments:
+class JointSpinMoments(NamedTuple):
     """Second moments of the site-pair spins at angle θ (and θ + π/2).
 
     `theta` and `delta_theta` are (n_tau,); the other fields are
@@ -81,8 +79,7 @@ class JointSpinMoments:
     var_JD_perp: np.ndarray
 
 
-@dataclass(frozen=True)
-class CriteriaResult:
+class CriteriaResult(NamedTuple):
     """All per-tau outputs of the joint-criteria pipeline.
 
     E_product < 1 signals entanglement (< 0.5, EPR); E_EPR_product < 1

@@ -35,7 +35,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,8 +160,7 @@ class NormalPoly:
         return f"NormalPoly({{{items}}})"
 
 
-@dataclass(frozen=True)
-class ModeVector:
+class ModeVector(NamedTuple):
     """Linear combination of bare annihilation operators with exact scale.
 
     The coefficient of mode m is ``num[m] / sqrt(2)**nhalf``.  All

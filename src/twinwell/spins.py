@@ -19,7 +19,7 @@ covariances of any Hermitian operators in it; `spin_moments` here and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ def delta_theta_from(w) -> np.ndarray:
     return 0.5 * np.pi - np.arctan2(w.imag, w.real)
 
 
-@dataclass(frozen=True)
-class SpinMoments:
+class SpinMoments(NamedTuple):
     """First and second moments of one site's spin triple.
 
     Moment fields are (n_tau, n_ens) arrays, ensemble row 0 = merged;

@@ -28,7 +28,6 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -134,7 +133,7 @@ def _tau_by_tau(evaluate, table, sweep, **kwargs) -> dict:
     columns = {c: [] for c in CSV_COLUMNS}
     reasons = {}
     for i, tau in enumerate(sweep.taus):
-        one = replace(sweep, taus=(tau,))
+        one = sweep._replace(taus=(tau,))
         try:
             part = evaluate(table[i : i + 1], one, **kwargs)
         except DegenerateReferenceError as exc:
@@ -260,10 +259,9 @@ def validation_report(cfg: RunConfig, n_traj: int | None = None):
     # whatever the config's chunk_size: 2 chunks give a single difference
     n_traj = n_traj or min(cfg.wigner.n_traj, 4000)
     n_traj = max(n_traj - n_traj % VALIDATE_CHUNKS, 2 * VALIDATE_CHUNKS)
-    short = replace(
-        cfg,
-        sweep=replace(cfg.sweep, taus=tuple(np.linspace(0.0, 2.0, 5))),
-        wigner=replace(cfg.wigner, n_traj=n_traj, chunk_size=n_traj // VALIDATE_CHUNKS),
+    short = cfg._replace(
+        sweep=cfg.sweep._replace(taus=tuple(np.linspace(0.0, 2.0, 5))),
+        wigner=cfg.wigner._replace(n_traj=n_traj, chunk_size=n_traj // VALIDATE_CHUNKS),
     )
     try:
         exact = _exact_table(short)

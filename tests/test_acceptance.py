@@ -6,7 +6,6 @@ optimum sits near tau ~ 4 for N = 200 and tau ~ 9 for N = 2000 in the
 adopted time normalization).
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -284,7 +283,7 @@ def test_acceptance_09_property_suites():
     r2 = run_ensemble(coup200, LossRates(), init200, taus, params)
     tables = [moment_source(r, params.chunk_size) for r in (r1, r2)]
     checks.append(("seed determinism", np.array_equal(*tables)))
-    half = dataclasses.replace(params, n_traj=100)
+    half = params._replace(n_traj=100)
     lo = run_ensemble(coup200, LossRates(), init200, taus, half)
     hi = run_ensemble(coup200, LossRates(), init200, taus, half, chunk_offset=2)
     merged = moment_source(np.concatenate([lo, hi], axis=1), params.chunk_size)

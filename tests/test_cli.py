@@ -147,6 +147,29 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+def test_package_import_builds_no_dataclass():
+    # every CLI run pays for building its records at import, and a
+    # dataclass compiles each generated method with its own exec; numpy
+    # releases that import `dataclasses` themselves are not checked
+    probe = (
+        "import sys, numpy\n"
+        "before = 'dataclasses' in sys.modules\n"
+        "import twinwell.sweeps, twinwell.cli\n"
+        "print(before, 'dataclasses' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    by_numpy, after = done.stdout.split()
+    if by_numpy == "True":
+        pytest.skip("numpy itself imports dataclasses")
+    assert after == "False"
+
+
 class TestWignerTwoStep:
     def test_stderr_columns_filled(self, capsys, tmp_path):
         cfg = write_cfg(

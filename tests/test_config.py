@@ -240,6 +240,8 @@ def test_normalized_document_validates_to_the_same_hash(doc):
         ({"wigner": [1]}, "wigner: expected a JSON object, got [1]"),
         ({"sweep": None}, "sweep: expected a JSON object, got None"),
         ({"preset": "B9p116G"}, "preset: expected a JSON object, got 'B9p116G'"),
+        ({"couplings": 5}, "couplings: expected a JSON object, got 5"),
+        ({"couplings": None}, "couplings: expected a JSON object, got None"),
         ([1], "config: expected a JSON object, got [1]"),
         (None, "config: expected a JSON object, got None"),
     ],
@@ -249,6 +251,8 @@ def test_normalized_document_validates_to_the_same_hash(doc):
         "wigner-array",
         "sweep-null",
         "preset-string",
+        "couplings-5",
+        "couplings-null",
         "array",
         "null",
     ],
@@ -351,6 +355,46 @@ def test_couplings_validation():
         PhysicalCouplings(g11=0.0, g12=0.0, g22=0.0)
     with pytest.raises(ConfigError, match="kappa1"):
         PhysicalCouplings(g11=1.0, g12=0.0, g22=1.0, kappa1=-0.1)
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (PhysicalCouplings(g11=0.01, g12=0.002, g22=0.01), "g11"),
+        (PhysicalCouplings(g11=0.01, g12=0.002, g22=0.01), "g12"),
+        (PhysicalCouplings(g11=0.01, g12=0.002, g22=0.01), "kappa2"),
+        (LossRates(gamma1=0.001), "gamma1"),
+        (LossRates(gamma1=0.001), "gamma22"),
+        (InitialState(N_A=300.0), "N_A"),
+        (InitialState(N_A=300.0), "N_B"),
+    ],
+)
+def test_record_checks_run_on_construction_and_replace(record, field):
+    bad = 0.0 if field in ("g11", "N_A", "N_B") else -1.0
+    with pytest.raises(ConfigError, match=rf"\.{field}: must be"):
+        type(record)(**{**record._asdict(), field: bad})
+    with pytest.raises(ConfigError, match=rf"\.{field}: must be"):
+        record._replace(**{field: bad})
+
+
+def test_initial_state_fills_n_b_from_n_a():
+    assert InitialState(N_A=300.0).N_B == 300.0
+    assert InitialState(N_A=300.0)._replace(N_A=100.0).N_B == 300.0
+    assert InitialState(N_A=300.0, N_B=50.0).N_B == 50.0
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (PhysicalCouplings(g11=0.01, g12=0.0, g22=0.01), "kappa1"),
+        (LossRates(), "gamma12"),
+        (InitialState(), "N_B"),
+        (validate_config({}), "wigner"),
+    ],
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 1.0)
 
 
 def test_config_hash_stable_under_key_order():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from pathlib import Path
 
@@ -230,7 +229,7 @@ class TestCompiledAgainstOracle:
         tables = [moment_table(cfg.couplings, cfg.initial, np.asarray(cfg.sweep.taus))]
         for name in ("dynamic_strong_tunneling.json", "two_step_losses_n2000.json"):
             cfg = load_config(CONFIGS / name)
-            params = dataclasses.replace(cfg.wigner, n_traj=400, chunk_size=100)
+            params = cfg.wigner._replace(n_traj=400, chunk_size=100)
             run = run_ensemble(cfg.couplings, cfg.losses, cfg.initial, cfg.sweep.taus[:4], params)
             tables.append(moment_source(run, params.chunk_size))
         for table in tables:

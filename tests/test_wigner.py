@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -421,7 +420,7 @@ class TestVectorisedAgainstReference:
 def fifty_steps(losses, mode, kappa):
     """`step` and `step_two_evaluation` after 50 steps of 1e-3 from the
     same 37 states, on the same noise when there are losses."""
-    coup = dataclasses.replace(ASYM, kappa1=kappa, kappa2=kappa / 2)
+    coup = ASYM._replace(kappa1=kappa, kappa2=kappa / 2)
     rng = np.random.default_rng(42)
     z = np.asfortranarray(rng.normal(size=(37, 4)) + 1j * rng.normal(size=(37, 4)))
     want = z
@@ -443,7 +442,7 @@ class TestSameBytesAsV026:
     @pytest.mark.parametrize("kappa", [0.0, 0.7])
     @pytest.mark.parametrize("losses,mode", LOSS_CASES)
     def test_drift(self, losses, mode, kappa, order):
-        coup = dataclasses.replace(ASYM, kappa1=kappa, kappa2=kappa / 2)
+        coup = ASYM._replace(kappa1=kappa, kappa2=kappa / 2)
         rng = np.random.default_rng(41)
         z = rng.normal(size=(37, 4)) + 1j * rng.normal(size=(37, 4))
         z = np.asarray(z, order=order)
@@ -469,7 +468,7 @@ class TestDriftScale:
     @pytest.mark.parametrize("kappa", [0.0, 0.7])
     @pytest.mark.parametrize("losses,mode", LOSS_CASES)
     def test_same_bytes_as_scaling_after(self, losses, mode, kappa, order, scale):
-        coup = dataclasses.replace(ASYM, kappa1=kappa, kappa2=kappa / 2)
+        coup = ASYM._replace(kappa1=kappa, kappa2=kappa / 2)
         rng = np.random.default_rng(41)
         z = rng.normal(size=(37, 4)) + 1j * rng.normal(size=(37, 4))
         z = np.asarray(z, order=order)
@@ -578,7 +577,7 @@ class TestStep:
     def test_species_numbers_conserved_with_tunneling(self):
         # tunneling moves atoms between the wells of one species only, so
         # |a1|^2 + |b1|^2 and |a2|^2 + |b2|^2 hold per trajectory
-        coup = dataclasses.replace(COUP, kappa1=1.0, kappa2=0.4)
+        coup = COUP._replace(kappa1=1.0, kappa2=0.4)
         z = sample_initial(InitialState(N_A=200.0, N_B=120.0), _chunk_rng(7, 2), 64)
         n0 = np.abs(z) ** 2
         h = 1e-4
@@ -633,7 +632,7 @@ class TestEnsemble:
 
     def test_half_ensembles_merge_to_full(self):
         full = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, self.PARAMS)
-        half = dataclasses.replace(self.PARAMS, n_traj=100)
+        half = self.PARAMS._replace(n_traj=100)
         lo = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, half)
         hi = run_ensemble(COUP, LOSSLESS, INIT, self.TAUS, half, chunk_offset=2)
         merged = np.concatenate([lo, hi], axis=1)
