@@ -9,12 +9,21 @@ time appears anywhere in the package.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import json
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import ConfigError
+
+# hashlib loads OpenSSL's libcrypto at import, several MB and a few ms
+# that every CLI process would pay for one hash; CPython's built-in
+# SHA-256 gives the same digest.  The module is named by version, so no
+# failing import searches sys.path.
+try:
+    _sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+except ImportError:  # an interpreter built without its own SHA-256
+    from hashlib import sha256 as _sha256
 
 # 87Rb scattering lengths in Bohr radii near the 9.105 G resonance; the
 # two tabulated fields differ only in the inter-species length.
@@ -200,9 +209,10 @@ _LOSS_KEYS = {"gamma1", "gamma12", "gamma22"}
 _INITIAL_KEYS = {"N_A", "N_B", "phase"}
 _SWEEP_KEYS = {"tau_max", "n_tau", "tau_grid", "fixed_theta", "theta_objective"}
 _WIGNER_KEYS = {"dtau", "n_traj", "seed", "chunk_size", "linear_loss_mode"}
+_SEED_MAX = 2**64 - 1  # the seed is one uint64 word of each chunk's Philox key
 
 
-def _num(sec, key, doc, default, errs, kind=float, minimum=None, strict=False):
+def _num(sec, key, doc, default, errs, kind=float, minimum=None, strict=False, maximum=None):
     raw = doc.get(key, default)
     if raw is None and default is None:  # null stands for an absent key only here
         return None
@@ -225,6 +235,8 @@ def _num(sec, key, doc, default, errs, kind=float, minimum=None, strict=False):
     if minimum is not None and (v < minimum or (strict and v == minimum)):
         op = ">" if strict else ">="
         errs.append(f"{sec}.{key}: must be {op} {minimum}")
+    if maximum is not None and v > maximum:
+        errs.append(f"{sec}.{key}: must be <= {maximum}")
     return v
 
 
@@ -339,7 +351,7 @@ def validate_config(doc: dict) -> RunConfig:
     _check_keys("wigner", wig_doc, _WIGNER_KEYS, errs)
     dtau = _num("wigner", "dtau", wig_doc, 1e-4, errs, minimum=0.0, strict=True)
     n_traj = _num("wigner", "n_traj", wig_doc, 10_000, errs, kind=int, minimum=2)
-    seed = _num("wigner", "seed", wig_doc, 1234, errs, kind=int, minimum=0)
+    seed = _num("wigner", "seed", wig_doc, 1234, errs, kind=int, minimum=0, maximum=_SEED_MAX)
     chunk = _num("wigner", "chunk_size", wig_doc, 500, errs, kind=int, minimum=1)
     loss_mode = wig_doc.get("linear_loss_mode", "symmetric")
     if loss_mode not in LINEAR_LOSS_MODES:
@@ -383,4 +395,4 @@ def load_config(path) -> RunConfig:
 def config_hash(cfg: RunConfig | dict) -> str:
     doc = cfg.document if isinstance(cfg, RunConfig) else cfg
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _sha256(blob).hexdigest()

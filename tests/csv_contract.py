@@ -28,14 +28,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # (config, CLI arguments): the exact engine, the wigner engine with
-# two-body loss noise and, in two chunks, with one-body loss noise, the
-# stochastic tunneling pipeline with and without the splitter, and
-# tunneling together with loss noise
+# two-body loss noise, in two chunks with one-body loss noise, and
+# lossless without tunneling (no noise terms at all), the stochastic
+# tunneling pipeline with and without the splitter, and tunneling
+# together with loss noise
 COMMANDS = (
     ("two_step_n2000.json", ("squeeze",)),
     ("two_step_n2000.json", ("two-step",)),
     ("two_step_losses_n2000.json", ("two-step", "--engine", "wigner", "--traj", "500")),
     ("two_step_linear_loss.json", ("two-step", "--engine", "wigner", "--traj", "1000")),
+    ("two_step_n2000.json", ("two-step", "--engine", "wigner", "--traj", "1000")),
     ("dynamic_strong_tunneling.json", ("dynamic", "--traj", "500")),
     ("dynamic_strong_tunneling.json", ("dynamic", "--traj", "500", "--beam-splitter", "on")),
     ("dynamic_tunneling_losses.json", ("dynamic", "--traj", "500")),

@@ -147,6 +147,18 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+def fresh_interpreter(probe):
+    """The words `probe` prints, run in a new interpreter on this tree's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 def test_package_import_builds_no_dataclass():
     # every CLI run pays for building its records at import, and a
     # dataclass compiles each generated method with its own exec; numpy
@@ -157,16 +169,30 @@ def test_package_import_builds_no_dataclass():
         "import twinwell.sweeps, twinwell.cli\n"
         "print(before, 'dataclasses' in sys.modules)"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    by_numpy, after = done.stdout.split()
+    by_numpy, after = fresh_interpreter(probe)
     if by_numpy == "True":
         pytest.skip("numpy itself imports dataclasses")
+    assert after == "False"
+
+
+def test_config_hash_loads_no_openssl():
+    # hashlib loads OpenSSL's libcrypto (`_hashlib`), several MB and a few
+    # ms per process; the config hash uses CPython's built-in SHA-256
+    probe = (
+        "import importlib.util, sys, numpy\n"
+        "by_numpy = '_hashlib' in sys.modules\n"
+        "name = '_sha2' if sys.version_info >= (3, 12) else '_sha256'\n"
+        "builtin = importlib.util.find_spec(name) is not None\n"
+        "import twinwell.sweeps, twinwell.cli\n"
+        "from twinwell.config import config_hash, validate_config\n"
+        "config_hash(validate_config({}))\n"
+        "print(by_numpy, builtin, '_hashlib' in sys.modules)"
+    )
+    by_numpy, builtin, after = fresh_interpreter(probe)
+    if by_numpy == "True":
+        pytest.skip("numpy itself imports _hashlib")
+    if builtin == "False":
+        pytest.skip("this interpreter has no built-in SHA-256 module")
     assert after == "False"
 
 
@@ -270,6 +296,17 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert f"{field}: expected a" in err and "Traceback" not in err
+
+    def test_seed_past_64_bits_exit_2(self, capsys, tmp_path):
+        # numpy raised OverflowError building the Philox key: a traceback
+        cfg = write_cfg(tmp_path, {"preset": {"kappa": 1.0}, "wigner": SMALL_WIGNER})
+        code, out, err = run_cli(
+            capsys, "dynamic", "--config", cfg, "--seed", str(2**64), "--traj", "200"
+        )
+        assert code == 2
+        assert out == ""
+        assert "wigner.seed: must be <= 18446744073709551615" in err
+        assert "Traceback" not in err
 
     def test_euler_maruyama_stepper_exit_2(self, capsys, tmp_path):
         # the midpoint rule is the only integrator, and `stepper` is no

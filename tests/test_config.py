@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import re
@@ -130,6 +131,19 @@ def test_non_integral_and_boolean_numbers_rejected(doc, field, message):
     # int() would truncate 1000.9 to 1000, and json true reads as 1
     with pytest.raises(ConfigError, match=f"{field}: expected an? {message}"):
         validate_config(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("seed", [2**64, 2.0**64, 10**30], ids=["2**64", "2.0**64", "10**30"])
+def test_seed_past_64_bits_rejected(seed):
+    # the seed is one uint64 word of each chunk's Philox key: numpy raises
+    # OverflowError on a larger one, mid-run
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"wigner": {"seed": seed}, "losses": {"gamma1": -1}})
+    assert exc.value.errors == [
+        "losses.gamma1: must be >= 0.0",
+        "wigner.seed: must be <= 18446744073709551615",
+    ]
+    assert validate_config({"wigner": {"seed": 2**64 - 1}}).wigner.seed == 2**64 - 1
 
 
 def test_integral_floats_accepted_as_integers():
@@ -395,6 +409,17 @@ def test_initial_state_fills_n_b_from_n_a():
 def test_records_are_immutable(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 1.0)
+
+
+@pytest.mark.parametrize(
+    "doc", [{}] + sorted(p.name for p in CONFIGS.glob("*.json")), ids=lambda d: d or "defaults"
+)
+def test_config_hash_is_hashlib_sha256(doc):
+    # the hash is computed without hashlib, which loads OpenSSL; it must
+    # be hashlib's SHA-256 of the same canonical blob
+    cfg = load_config(CONFIGS / doc) if isinstance(doc, str) else validate_config(doc)
+    blob = json.dumps(cfg.document, sort_keys=True, separators=(",", ":")).encode()
+    assert config_hash(cfg) == hashlib.sha256(blob).hexdigest()
 
 
 def test_config_hash_stable_under_key_order():
