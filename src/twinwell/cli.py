@@ -10,7 +10,8 @@ Subcommands mirror the sweep pipelines:
 Output is CSV on stdout (or --out) with a '#' header carrying the
 config hash, seed and version, so identical config + seed reproduce the
 file byte for byte.  Exit codes: 0 success, 1 failed validation,
-2 configuration error, 3 numerical divergence, 4 degenerate reference
+2 configuration error or an --out path that cannot be written (checked
+before the sweep runs), 3 numerical divergence, 4 degenerate reference
 (a criterion's mean spin or variance vanished at some tau: the CSV is
 still written, with that tau's cells empty but for `tau`, and stderr
 names the tau).
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .config import RunConfig, validate_config
@@ -93,10 +95,37 @@ def _load(args) -> RunConfig:
     return validate_config(doc)
 
 
+class _OutError(Exception):
+    """The --out path cannot be written: exit 2 with this one line."""
+
+
+def _check_out(out_path: str | None) -> None:
+    """Raise _OutError unless `out_path` can be written, before a sweep
+    runs and without creating the file: an existing path must be a
+    writable file, a new one needs a writable directory."""
+    if not out_path:
+        return
+    if os.path.isdir(out_path):
+        why = "it is a directory"
+    elif os.path.exists(out_path):
+        why = None if os.access(out_path, os.W_OK) else "permission denied"
+    else:
+        parent = os.path.dirname(out_path) or os.curdir
+        if not os.path.isdir(parent):
+            why = f"no directory {parent}"
+        else:
+            why = None if os.access(parent, os.W_OK | os.X_OK) else "permission denied"
+    if why:
+        raise _OutError(f"out: cannot write {out_path}: {why}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutError(f"out: cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -105,6 +134,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
+        _check_out(args.out)
         if args.command == "validate":
             lines, ok = validation_report(cfg, n_traj=args.traj)
             _emit("\n".join(lines) + "\n", args.out)
@@ -128,6 +158,9 @@ def main(argv=None) -> int:
         return code
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except _OutError as exc:
+        print(exc, file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)

@@ -209,7 +209,7 @@ _LOSS_KEYS = {"gamma1", "gamma12", "gamma22"}
 _INITIAL_KEYS = {"N_A", "N_B", "phase"}
 _SWEEP_KEYS = {"tau_max", "n_tau", "tau_grid", "fixed_theta", "theta_objective"}
 _WIGNER_KEYS = {"dtau", "n_traj", "seed", "chunk_size", "linear_loss_mode"}
-_SEED_MAX = 2**64 - 1  # the seed is one uint64 word of each chunk's Philox key
+_SEED_MAX = 2**64 - 1  # documented: the 64-bit entropy of each chunk's SeedSequence
 
 
 def _num(sec, key, doc, default, errs, kind=float, minimum=None, strict=False, maximum=None):

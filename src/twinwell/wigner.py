@@ -15,10 +15,11 @@ them to normal order per mode via the s-ordering expansion
     a†^p a^q = sum_k k! C(p,k) C(q,k) (-1/2)^k {a†^(p-k) a^(q-k)}_sym.
 
 Trajectories are organized in fixed-size chunks.  Chunk c draws from its
-own Philox stream keyed by (seed, chunk_offset + c), so results are
-bit-reproducible and independent of scheduling.  A run keeps one sum of
-monomials per chunk and output time; the chunk sums of half-ensembles
-concatenate into exactly those of the full ensemble.
+own SFC64 stream, seeded by the SeedSequence of `seed` spawned to
+chunk_offset + c (`_chunk_rng`), so results are bit-reproducible and
+independent of scheduling.  A run keeps one sum of monomials per chunk
+and output time; the chunk sums of half-ensembles concatenate into
+exactly those of the full ensemble.
 
 Memory layout: the state is an (n_traj, 4) array stored column-major, so
 each mode's trajectories are contiguous and `z.T.reshape(2, 2, n_traj)`
@@ -38,7 +39,7 @@ the number-conserving basis to itself: `moment_source` applies it as
 its 78 off-diagonal terms (`_CAHILL_TERMS`), in at most 3 gather-
 multiply-add passes over the whole table and with no BLAS call, so each
 moment's bytes do not depend on the rows beside it or on a BLAS build.
-The noise increments stay in the Philox stream's order (trajectory,
+The noise increments stay in the chunk stream's order (trajectory,
 column, re/im) and are read as complex.
 
 Loss noise is drawn ahead in blocks of NOISE_BLOCK steps (`_noise_ahead`):
@@ -47,7 +48,7 @@ chunk's stream in the same order as one call per step, so the bytes are
 those of drawing step by step.  Each draw is a task in one queue, taken
 by the one worker of a thread pool and also by the stepping thread
 whenever that reaches a block not yet drawn, so the draws are balanced
-across two CPUs; numpy releases the GIL while Philox fills, so the draws
+across two CPUs; numpy releases the GIL while a stream fills, so the draws
 and the stepping overlap.  A per-chunk lock keeps each chunk's blocks in
 stream order whichever thread draws them.  The worker calls only
 Generator methods, never a module-level function of this package: a
@@ -348,11 +349,15 @@ def sample_initial(initial: InitialState, rng: np.random.Generator, n: int) -> n
 
 
 def _chunk_rng(seed: int, chunk_id: int) -> np.random.Generator:
-    key = np.array([seed, chunk_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Chunk `chunk_id`'s stream: an SFC64 seeded by the SeedSequence of
+    `seed` spawned to `chunk_id`.  The spawn key keeps every (seed, chunk)
+    pair apart; an entropy list [seed, chunk_id] would pack both into one
+    run of 32-bit words, where [2**32, 5] and [0, 1 + 5 * 2**32] meet."""
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk_id,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
-# steps of loss noise each chunk draws per Philox call, and the blocks of
+# steps of loss noise each chunk draws per call, and the blocks of
 # them a run holds at once
 NOISE_BLOCK = 4
 NOISE_SLOTS = 3

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twinwell
-from twinwell import sweeps
+from twinwell import cli, sweeps
 from twinwell.cli import main
 
 
@@ -298,7 +299,8 @@ class TestErrorPaths:
         assert f"{field}: expected a" in err and "Traceback" not in err
 
     def test_seed_past_64_bits_exit_2(self, capsys, tmp_path):
-        # numpy raised OverflowError building the Philox key: a traceback
+        # the seed is 64 bits by contract; a larger one once reached numpy
+        # and raised OverflowError mid-run: a traceback
         cfg = write_cfg(tmp_path, {"preset": {"kappa": 1.0}, "wigner": SMALL_WIGNER})
         code, out, err = run_cli(
             capsys, "dynamic", "--config", cfg, "--seed", str(2**64), "--traj", "200"
@@ -338,8 +340,6 @@ class TestErrorPaths:
         assert "losses: the exact engine supports lossless dynamics only" in err
 
     def test_divergence_exit_3(self, capsys, tmp_path):
-        import numpy as np
-
         cfg = write_cfg(
             tmp_path,
             {
@@ -418,6 +418,57 @@ class TestOutput:
         # no --config at all: built-in defaults (400-point grid)
         code, out, _ = run_cli(capsys, "squeeze", "--out", str(tmp_path / "x.csv"))
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "command, sweep",
+        [
+            ("squeeze", "squeeze_sweep"),
+            ("two-step", "two_step_sweep"),
+            ("dynamic", "dynamic_sweep"),
+            ("validate", "validation_report"),
+        ],
+    )
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_exit_2_before_the_sweep(
+        self, capsys, tmp_path, monkeypatch, command, sweep, target
+    ):
+        # the path used to be opened only after the sweep: a traceback,
+        # exit 1 and the finished sweep lost
+        ran = []
+        monkeypatch.setattr(cli, sweep, lambda *a, **k: ran.append(sweep))
+        out_path = tmp_path / target
+        code, out, err = run_cli(capsys, command, "--out", str(out_path))
+        assert (code, out, ran) == (2, "", [])
+        assert err == f"out: cannot write {out_path}: " + (
+            f"no directory {tmp_path / 'missing'}\n" if target != "." else "it is a directory\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == []
+
+    def test_failed_write_exit_2(self, capsys, tmp_path, monkeypatch):
+        # a path that passes the check but fails when opened (say, a
+        # directory removed during the sweep) ends the same way
+        monkeypatch.setattr(cli, "_check_out", lambda out_path: None)
+        cfg = write_cfg(tmp_path, {"sweep": {"tau_max": 1.0, "n_tau": 2}})
+        out_path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "squeeze", "--config", cfg, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == f"out: cannot write {out_path}: No such file or directory\n"
+
+    def test_no_file_without_a_csv(self, capsys, tmp_path):
+        # a diverged run writes no CSV, so it leaves no empty file behind
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "couplings": {"g11": 10.0, "g22": 10.0},
+                "sweep": {"tau_grid": [50.0]},
+                "wigner": {"n_traj": 4, "chunk_size": 2, "dtau": 10.0},
+            },
+        )
+        out_path = tmp_path / "x.csv"
+        with np.errstate(all="ignore"):
+            code, _, _ = run_cli(capsys, "dynamic", "--config", cfg, "--out", str(out_path))
+        assert code == 3
+        assert not out_path.exists()
 
 
 class TestValidate:

@@ -135,8 +135,8 @@ def test_non_integral_and_boolean_numbers_rejected(doc, field, message):
 
 @pytest.mark.parametrize("seed", [2**64, 2.0**64, 10**30], ids=["2**64", "2.0**64", "10**30"])
 def test_seed_past_64_bits_rejected(seed):
-    # the seed is one uint64 word of each chunk's Philox key: numpy raises
-    # OverflowError on a larger one, mid-run
+    # the seed is 64 bits by contract, the entropy of every chunk's
+    # SeedSequence; a larger one is refused before any run starts
     with pytest.raises(ConfigError) as exc:
         validate_config({"wigner": {"seed": seed}, "losses": {"gamma1": -1}})
     assert exc.value.errors == [

@@ -307,6 +307,14 @@ def run_ensemble_serial(couplings, losses, initial, taus, params, chunk_offset=0
     return sums
 
 
+def philox_chunk_rng(seed, chunk_id):
+    """`_chunk_rng` up to v0.2.11, a Philox keyed by (seed, chunk_id): the
+    reference stream that the SFC64 streams must agree with in
+    distribution."""
+    key = np.array([seed, chunk_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 # unequal couplings and tunneling rates, so a swapped species or well shows
 ASYM = PhysicalCouplings(g11=1.0, g12=0.8, g22=0.95, kappa1=0.7, kappa2=0.3)
 LOSS_CASES = [
@@ -351,6 +359,60 @@ class TestSampling:
         init = InitialState(N_A=200.0, N_B=8.0)
         z = sample_initial(init, rng, 50_000)
         assert (np.abs(z[:, 1]) ** 2).mean() == pytest.approx(4.5, abs=0.05)
+
+
+class TestChunkStreams:
+    def test_deterministic(self):
+        a, b = (_chunk_rng(2**63 + 5, 3).standard_normal(64) for _ in range(2))
+        assert a.tobytes() == b.tobytes()
+
+    def test_first_draws_distinct_over_seeds_and_chunks(self):
+        first = {
+            int(_chunk_rng(seed, c).bit_generator.random_raw())
+            for seed in range(16)
+            for c in range(16)
+        }
+        assert len(first) == 16 * 16
+
+    def test_entropy_list_aliases_kept_apart(self):
+        # as one entropy list [seed, chunk] both pairs pack into the 32-bit
+        # words (0, 1, 5) and seed one stream; a spawn key keeps them apart
+        pairs = ((2**32, 5), (0, 1 + 5 * 2**32))
+        packed = [np.random.SeedSequence(list(p)).generate_state(4) for p in pairs]
+        assert np.array_equal(*packed)
+        a, b = (_chunk_rng(*p).bit_generator.random_raw(8) for p in pairs)
+        assert not np.array_equal(a, b)
+
+    def test_largest_seed_runs_lossy(self):
+        params = SimConfig(dtau=1e-3, n_traj=200, seed=2**64 - 1, chunk_size=100)
+        sums = run_ensemble(COUP, LossRates(gamma12=1e-3), INIT, (0.0, 0.01), params)
+        assert np.isfinite(sums).all()
+
+    def test_agrees_in_distribution_with_philox(self, monkeypatch):
+        # a strongly lossy run from 1 atom per mode, where the loss noise
+        # sets the mode numbers at tau 2 (noise scaled by 1.1 moves their
+        # total by about 11 standard errors); each stream's 80 chunk rows
+        # give the mean and spread of each mode's number and of the total
+        losses = LossRates(gamma1=0.5, gamma12=0.05, gamma22=0.05)
+        params = SimConfig(dtau=1e-2, n_traj=4000, seed=11, chunk_size=50)
+        numbers = [BASIS_INDEX[tuple(int(i == m) for i in range(4)) * 2] for m in range(4)]
+
+        def chunk_numbers():
+            sums = run_ensemble(COUP, losses, InitialState(N_A=2.0), (0.0, 2.0), params)
+            rows = moment_source(sums, params.chunk_size)[-1, 1:][:, numbers].real
+            return np.column_stack([rows, rows.sum(axis=1)])
+
+        new = chunk_numbers()
+        monkeypatch.setattr(wigner, "_chunk_rng", philox_chunk_rng)
+        old = chunk_numbers()
+        n = new.shape[0]
+        var_new, var_old = new.var(axis=0, ddof=1), old.var(axis=0, ddof=1)
+        z = (new.mean(axis=0) - old.mean(axis=0)) / np.sqrt((var_new + var_old) / n)
+        assert np.abs(z).max() < 4, z
+        # a noisier estimate would widen the chunk rows' spread; the log
+        # of the sd ratio has sd 1/sqrt(n - 1)
+        log_ratio = 0.5 * np.log(var_new / var_old)
+        assert np.abs(log_ratio).max() < 4 / math.sqrt(n - 1), log_ratio
 
 
 class TestDrift:
