@@ -5,7 +5,7 @@ engine, feeding shared spin-squeezing / entanglement / EPR-steering
 criteria, with a sweep CLI on top.
 """
 
-__version__ = "0.2.12"
+__version__ = "0.2.13"
 
 from .config import (
     InitialState,

@@ -6,8 +6,11 @@ integrated through
 
     dz = a dτ + B dZ,      a = -i a_drift - a_loss,
 
-with the drift and diffusion of the dimensionless master equation, by
-the explicit two-evaluation midpoint rule (`step`).  The complex Wiener
+with the drift and diffusion of the dimensionless master equation.  A
+run with losses (noise terms) steps by the explicit two-evaluation
+midpoint rule (`step`); from 0.2.13 a noise-free run steps by the
+variable-step two-step Adams-Bashforth rule (`_ab2_states`), second
+order too at one drift evaluation per step.  The complex Wiener
 increments satisfy <dZ* dZ> = dτ, <dZ dZ> = 0.  Raw path
 averages estimate symmetric-ordered moments; `moment_source` converts
 them to normal order per mode via the s-ordering expansion
@@ -27,9 +30,10 @@ is a view indexed (species, well, trajectory), species 1 = (α1, β1) and
 species 2 = (α2, β2).  `drift` and `_noise_term` act on that view as a
 whole: tunneling swaps the well axis, the Kerr and two-body loss rates
 combine the species axis.  `drift` returns the drift times a scale, the
-step or half of it: one pass rotates the Kerr and tunneling sum by -i
-and scales it, and the loss terms come with their rates pre-scaled, so
-`step` makes no scaling pass of its own.  The
+step or half of it, or an Adams-Bashforth step's factor h (1 + r): one
+pass rotates the Kerr and tunneling sum by -i and scales it, and the
+loss terms come with their rates pre-scaled, so neither integrator makes
+a scaling pass of its own over a fresh drift.  The
 per-chunk monomial tables are column-major too, so every product and
 per-column sum is contiguous; they hold just the 117 basis columns,
 three blocks of outer products: the constant 1, conj(z1) z1 over the 4
@@ -437,6 +441,47 @@ def _noise_ahead(rngs, csize: int, ncols: int, hs):
             tasks.clear()
 
 
+def _midpoint_states(z, couplings, losses, hs, noise, linear_loss_mode):
+    """The state after each step of sizes `hs` by the midpoint `step`,
+    each step with its increments from the generator `noise`, which
+    closing this generator closes."""
+    with contextlib.closing(noise):
+        for h, dz_noise in zip(hs, noise):
+            z = step(z, couplings, losses, h, dz_noise, linear_loss_mode)
+            yield z
+
+
+def _ab2_states(z, couplings, losses, hs, linear_loss_mode):
+    """The state after each step of sizes `hs` of the noise-free flow by
+    the variable-step two-step Adams-Bashforth rule
+
+        z_{n+1} = z_n + h_n [(1 + r_n) a(z_n) - r_n a(z_{n-1})],
+        r_n = h_n / (2 h_{n-1}),
+
+    second order like the midpoint rule at one `drift` call per step
+    (Hairer, Norsett & Wanner, Solving ODEs I, III.5).  The first step is
+    the midpoint `step`, after one more call for a(z_0) when a second
+    step follows.  A step-size change, say at an output time, is absorbed
+    by r_n.  Each call returns the drift already scaled by the step's
+    factor s_n = h_n (1 + r_n), and that array is kept for the next step,
+    which subtracts it times h_{n+1} r_{n+1} / s_n and builds the new
+    state in place on it.  No state yielded is written to afterwards.
+    """
+    if len(hs) > 1:
+        prev, s_prev = drift(z, couplings, losses, linear_loss_mode, hs[0]), hs[0]
+    z = step(z, couplings, losses, hs[0], None, linear_loss_mode)
+    yield z
+    for h_prev, h in zip(hs, hs[1:]):
+        r = h / (2.0 * h_prev)
+        s = h * (1.0 + r)
+        d = drift(z, couplings, losses, linear_loss_mode, s)
+        prev *= -(h * r / s_prev)
+        prev += d
+        prev += z
+        z, prev, s_prev = prev, d, s
+        yield z
+
+
 # the largest block whose release raises glibc's mmap threshold: 32 MiB
 # chunks on 64-bit, less a page for the chunk header
 _MMAP_THRESHOLD_MAX = (32 << 20) - 4096
@@ -453,6 +498,12 @@ def run_ensemble(
     """Integrate an ensemble and sum its monomials per chunk at every
     requested tau: an (n_tau, n_chunks, NBASIS) array, chunks in stream
     order (`moment_source` turns it into a moment table).
+
+    Each interval between output times is cut into equal steps of at most
+    `params.dtau`.  With losses the ensemble takes midpoint `step`s on its
+    loss noise; without them (no noise terms), from 0.2.13, it takes
+    two-step Adams-Bashforth steps (`_ab2_states`), one `drift` call each,
+    carrying the last drift across output times.
 
     Deterministic: chunk c consumes only the stream keyed (seed,
     chunk_offset + c), in a fixed draw order, so identical parameters
@@ -505,17 +556,17 @@ def run_ensemble(
             bad = int(np.argmin(finite))
             raise DivergenceError(tau, chunk_offset * csize + bad, steps_done)
 
+    mode = params.linear_loss_mode
     if losses.enabled:
-        noise = contextlib.closing(
-            _noise_ahead(rngs, csize, n_noise_columns(params.linear_loss_mode), hs)
-        )
+        noise = _noise_ahead(rngs, csize, n_noise_columns(mode), hs)
+        states = _midpoint_states(z, couplings, losses, hs, noise, mode)
     else:
-        noise = contextlib.nullcontext(itertools.repeat(None))
-    with noise as step_noise:
+        states = _ab2_states(z, couplings, losses, hs, mode)
+    with contextlib.closing(states):
         done = 0
         for i, target in enumerate(taus):
-            for h, dz_noise in zip(hs[done : ends[i]], step_noise):
-                z = step(z, couplings, losses, h, dz_noise, params.linear_loss_mode)
+            for z in itertools.islice(states, ends[i] - done):
+                pass
             done = ends[i]
             check_finite(target, done)
             record(i)

@@ -7,7 +7,11 @@ worktree` of the base commit) and the tree this script lives in, each
 with its own package sources and its own `configs/` file, and compares
 the CSVs.  A CSV that differs while its `# twinwell <version>` line is
 the same breaks the contract: the same config and seed must give the same
-bytes until a version bump says otherwise.  A command is not comparable,
+bytes until a version bump says otherwise.  Under a bump, a CSV whose
+other lines all kept their bytes reads "same bytes apart from the
+version", one with any other line moved reads "changed": a bump need not
+move every command's results, and the report shows which ones it did
+move.  A command is not comparable,
 and not counted, when its config file differs between the two trees or
 when only the base run fails (the base tree lacks the config, rejects a
 key or does not know an argument).  With the same config file the bytes
@@ -61,8 +65,17 @@ def config_bytes(tree: Path, config: str) -> bytes | None:
     return path.read_bytes() if path.is_file() else None
 
 
+VERSION_PREFIX = "# twinwell "
+
+
 def header_line(csv: str, prefix: str) -> str:
     return next((line for line in csv.splitlines() if line.startswith(prefix)), "")
+
+
+def without_version(csv: str) -> str:
+    """`csv` less its `# twinwell <version>` line."""
+    lines = csv.splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith(VERSION_PREFIX))
 
 
 def compare(
@@ -77,11 +90,14 @@ def compare(
     before, after = old.stdout, new.stdout
     if before == after:
         return "same bytes", False
-    version_before = header_line(before, "# twinwell ")
-    version_after = header_line(after, "# twinwell ")
-    if version_before != version_after:
-        return f"changed, version {version_before!r} -> {version_after!r}", False
-    return f"BROKEN: bytes changed under the same {version_after!r}", True
+    version_before = header_line(before, VERSION_PREFIX)
+    version_after = header_line(after, VERSION_PREFIX)
+    if version_before == version_after:
+        return f"BROKEN: bytes changed under the same {version_after!r}", True
+    bump = f"{version_before!r} -> {version_after!r}"
+    if without_version(before) == without_version(after):
+        return f"same bytes apart from the version, {bump}", False
+    return f"changed, version {bump}", False
 
 
 def main(argv=None) -> int:

@@ -26,6 +26,18 @@ def test_version_bump_allows_changed_bytes():
     assert not broken and status.startswith("changed, version")
 
 
+def test_version_bump_alone_reads_same_bytes_apart_from_the_version():
+    status, broken = compare(run(), run(version="0.2.8"), False)
+    assert not broken
+    assert status == "same bytes apart from the version, '# twinwell 0.2.7' -> '# twinwell 0.2.8'"
+
+
+def test_version_bump_with_a_moved_hash_reads_changed():
+    # only the version line is set aside: a moved header line still counts
+    status, broken = compare(run(), run(sha="bb", version="0.2.8"), False)
+    assert not broken and status.startswith("changed, version")
+
+
 def test_changed_config_is_not_comparable():
     status, broken = compare(run(), run(sha="bb", e="0.6"), True)
     assert not broken and status == "not comparable: the config changed"

@@ -23,6 +23,7 @@ from twinwell.wigner import (
     BASIS_INDEX,
     BASIS_KEYS,
     NBASIS,
+    _ab2_states,
     _chunk_rng,
     _linear_loss_cols,
     drift,
@@ -543,14 +544,15 @@ class TestDriftScale:
 
 
 class TestStepCallsTracedLayers:
-    """`step` reaches `drift` and `_noise_term` through the module
-    attributes, which is where a tracer wraps them by name."""
+    """`run_ensemble` and `step` reach `step`, `drift` and `_noise_term`
+    through the module attributes, which is where a tracer wraps them by
+    name."""
 
     TAUS = (0.0, 0.002, 0.005)  # 2 + 3 steps of 1e-3
     STEPS = 5
 
-    def counted_run(self, monkeypatch, couplings, losses):
-        calls = {"drift": 0, "_noise_term": 0}
+    def counted_run(self, monkeypatch, couplings, losses, taus=TAUS):
+        calls = {"step": 0, "drift": 0, "_noise_term": 0}
 
         def counting(name):
             real = getattr(wigner, name)
@@ -561,20 +563,27 @@ class TestStepCallsTracedLayers:
 
             monkeypatch.setattr(wigner, name, wrapper)
 
-        counting("drift")
-        counting("_noise_term")
+        for name in calls:
+            counting(name)
         params = SimConfig(dtau=1e-3, n_traj=40, seed=7, chunk_size=20)
-        run_ensemble(couplings, losses, INIT, self.TAUS, params)
+        run_ensemble(couplings, losses, INIT, taus, params)
         return calls
 
     def test_lossless_tunneling(self, monkeypatch):
+        # Adams-Bashforth: one midpoint `step` (2 drift calls), a(z_0),
+        # then one drift call for each later step, across the output time
         calls = self.counted_run(monkeypatch, ASYM, LOSSLESS)
-        assert calls == {"drift": 2 * self.STEPS, "_noise_term": 0}
+        assert calls == {"step": 1, "drift": self.STEPS + 2, "_noise_term": 0}
+
+    def test_lossless_single_step(self, monkeypatch):
+        calls = self.counted_run(monkeypatch, ASYM, LOSSLESS, taus=(0.0, 0.001))
+        assert calls == {"step": 1, "drift": 2, "_noise_term": 0}
 
     def test_lossy(self, monkeypatch):
         losses = LossRates(gamma1=0.01, gamma12=1e-3, gamma22=1e-3)
         calls = self.counted_run(monkeypatch, COUP, losses)
-        assert calls == {"drift": 2 * self.STEPS, "_noise_term": 2 * self.STEPS}
+        want = {"step": self.STEPS, "drift": 2 * self.STEPS, "_noise_term": 2 * self.STEPS}
+        assert calls == want
 
 
 class TestDiffusion:
@@ -680,6 +689,105 @@ class TestStep:
         assert new_1500 < old_1000
         # the same step size
         assert new_1000 < 1.6 * old_1000
+
+
+def recorded_states(monkeypatch, couplings, initial, taus, params):
+    """The states a lossless `run_ensemble` records, one (n_traj, 4)
+    array per output time, read where it builds each chunk's monomials."""
+    seen = []
+    real = wigner.monomial_columns
+
+    def spy(z):
+        seen.append(z.copy())
+        return real(z)
+
+    monkeypatch.setattr(wigner, "monomial_columns", spy)
+    run_ensemble(couplings, LOSSLESS, initial, taus, params)
+    n_chunks = params.n_traj // params.chunk_size
+    return [np.concatenate(seen[i : i + n_chunks]) for i in range(0, len(seen), n_chunks)]
+
+
+class TestAdamsBashforth:
+    """Noise-free runs step by the two-step Adams-Bashforth rule."""
+
+    COUP = preset_couplings("B9p116G", 200.0, kappa=1.0)
+
+    def test_accuracy_at_fixed_cost(self):
+        # the largest amplitude error at T = 1 against the same ensemble
+        # at a fine midpoint step, as in TestStep
+        z0 = np.asfortranarray(sample_initial(INIT, _chunk_rng(5, 0), 500))
+
+        def midpoint(n_steps):
+            z = z0
+            for _ in range(n_steps):
+                z = step(z, self.COUP, LOSSLESS, 1.0 / n_steps)
+            return z
+
+        def ab2(n_steps):
+            *_, z = _ab2_states(z0, self.COUP, LOSSLESS, [1.0 / n_steps] * n_steps, "symmetric")
+            return z
+
+        ref = midpoint(8000)
+        ab2_2000, ab2_1000, mid_1000 = (
+            np.abs(final - ref).max() for final in (ab2(2000), ab2(1000), midpoint(1000))
+        )
+        # 2002 drift evaluations against 2000
+        assert ab2_2000 < mid_1000
+        # the same step size
+        assert ab2_1000 < 2.0 * mid_1000
+
+    def test_second_order_on_an_irregular_grid(self, monkeypatch):
+        # no interval is a whole number of dtau or of dtau / 2, so the
+        # step size changes at every output time
+        taus = (0.0, 0.13, 0.3, 0.31, 0.55, 0.8, 1.0)
+        params = SimConfig(dtau=0.014, n_traj=200, seed=3, chunk_size=100)
+        z = np.asfortranarray(
+            np.concatenate([sample_initial(INIT, _chunk_rng(3, c), 100) for c in range(2)])
+        )
+        for _ in range(4000):
+            z = step(z, self.COUP, LOSSLESS, 1.0 / 4000)
+        coarse, fine = (
+            np.abs(recorded_states(monkeypatch, self.COUP, INIT, taus, p)[-1] - z).max()
+            for p in (params, params._replace(dtau=params.dtau / 2))
+        )
+        assert coarse > 3.0 * fine
+
+    def test_second_order_under_alternating_steps(self):
+        # the step size changes at every step, h, 2h, h, ...: weights
+        # that ignored the change (r = 1/2 throughout) would err by
+        # O(h^2) at each of O(1/h) steps, first order, a ratio near 2
+        z0 = np.asfortranarray(sample_initial(INIT, _chunk_rng(5, 1), 200))
+        z = z0
+        for _ in range(8000):
+            z = step(z, self.COUP, LOSSLESS, 1.0 / 8000)
+
+        def error(pairs):
+            h = 1.0 / (3 * pairs)
+            *_, final = _ab2_states(z0, self.COUP, LOSSLESS, [h, 2 * h] * pairs, "symmetric")
+            return np.abs(final - z).max()
+
+        assert error(50) > 3.0 * error(100)
+
+    def test_species_numbers_conserved_with_tunneling(self, monkeypatch):
+        coup = COUP._replace(kappa1=1.0, kappa2=0.4)
+        initial = InitialState(N_A=200.0, N_B=120.0)
+        params = SimConfig(dtau=1e-4, n_traj=64, seed=7, chunk_size=32)
+        z0, z = recorded_states(monkeypatch, coup, initial, (0.0, 0.2), params)  # 2000 steps
+        n0, n = np.abs(z0) ** 2, np.abs(z) ** 2
+        assert np.abs(n[:, :2] - n0[:, :2]).max() > 1.0  # the wells exchange atoms
+        for species in (slice(0, 2), slice(2, 4)):
+            change = n[:, species].sum(axis=1) - n0[:, species].sum(axis=1)
+            assert np.abs(change).max() < 1e-6 * INIT.N_A
+
+    def test_half_ensembles_merge_to_full_with_tunneling(self):
+        taus = (0.0, 0.0035, 0.01, 0.0101, 0.3)
+        coup = COUP._replace(kappa1=0.7, kappa2=0.3)
+        params = SimConfig(dtau=1e-3, n_traj=120, seed=11, chunk_size=30)
+        full = run_ensemble(coup, LOSSLESS, INIT, taus, params)
+        half = params._replace(n_traj=60)
+        lo = run_ensemble(coup, LOSSLESS, INIT, taus, half)
+        hi = run_ensemble(coup, LOSSLESS, INIT, taus, half, chunk_offset=2)
+        assert np.concatenate([lo, hi], axis=1).tobytes() == full.tobytes()
 
 
 class TestEnsemble:
